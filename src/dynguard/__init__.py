@@ -24,8 +24,6 @@ from .simulate import (
     Scheme,
     SegmentStats,
     SimReport,
-    SimState,
-    admit_call,
     blocking_stderr,
     run_simulation,
 )
@@ -40,7 +38,6 @@ from .traffic import (
     as_rate_vector,
     availability_thresholds,
     classify_load,
-    observe_arrival,
     reservation_quota,
     total_arrival_rate,
 )
@@ -59,14 +56,12 @@ __all__ = [
     "Scheme",
     "SegmentStats",
     "SimReport",
-    "SimState",
     "SteadyStateDistribution",
     "SweepConfig",
     "SweepError",
     "SystemParams",
     "ThresholdVector",
     "ZeroTotalRateError",
-    "admit_call",
     "as_rate_vector",
     "availability_thresholds",
     "blocking_report",
@@ -77,7 +72,6 @@ __all__ = [
     "erlang_b",
     "load_config",
     "nonpriority_report",
-    "observe_arrival",
     "quasi_stationary_curve",
     "reservation_quota",
     "run_simulation",

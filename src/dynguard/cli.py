@@ -49,6 +49,8 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             config = replace(config, sim_enabled=True)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
             config = replace(config, sim_seeds=(args.seed,))
         out = args.out or config.out_path
         if out is None:

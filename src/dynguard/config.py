@@ -287,6 +287,11 @@ def load_config(path) -> SweepConfig:
     if sim_arrivals < 1:
         reader.fail("sim.arrivals", f"'sim.arrivals' must be positive, got {sim_arrivals}")
     sim_seeds = reader.int_list("sim.seeds") or (1,)
+    for k, seed in enumerate(sim_seeds):
+        if seed < 0:
+            reader.fail("sim.seeds", f"'sim.seeds' must be non-negative, got {seed}")
+        if seed in sim_seeds[:k]:
+            reader.fail("sim.seeds", f"seed {seed} listed twice in 'sim.seeds'")
     sim_smoothing = reader.float_value("sim.smoothing")
     if sim_smoothing is not None and not 0 < sim_smoothing <= 1:
         reader.fail("sim.smoothing", f"'sim.smoothing' must be in (0, 1], got {sim_smoothing}")

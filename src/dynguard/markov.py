@@ -204,17 +204,22 @@ def erlang_b(channels: int, offered: float) -> float:
 def nonpriority_report(params: SystemParams, rates) -> BlockingReport:
     """Report for the no-reservation baseline where all classes share the pool.
 
-    Every class sees the same blocking, taken from :func:`erlang_b`. Both the
-    baseline rows and light-load dynamic rows are produced here so the two
-    coincide bit-for-bit.
+    Every class sees the same blocking, taken from the :func:`erlang_b`
+    recursion. Both the baseline rows and light-load dynamic rows are
+    produced here so the two coincide bit-for-bit.
     """
     vec = as_rate_vector(rates, params.class_count)
     offered = math.fsum(vec) / params.service_rate
-    b = erlang_b(params.capacity, offered)
-    carried = offered * (1.0 - b)
+    n = params.capacity
+    # The recursion's last step, B(N) = a*B(N-1) / (N + a*B(N-1)), also gives
+    # 1 - B(N) = N / (N + a*B(N-1)) without a subtraction that cancels to 0
+    # once B(N) rounds to 1 at huge load.
+    a_b = offered * erlang_b(n - 1, offered)
+    utilization = offered / (n + a_b)
+    carried = utilization * n
     return BlockingReport(
-        blocking=(b,) * params.class_count,
-        utilization=carried / params.capacity,
+        blocking=(a_b / (n + a_b),) * params.class_count,
+        utilization=utilization,
         carried_load=carried,
         mean_occupancy=carried,
     )

@@ -15,6 +15,7 @@ one more, so changing one class's traffic never perturbs the others.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -23,7 +24,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .traffic import (
-    RateEstimator,
+    MIN_GAP,
     RateVector,
     SystemParams,
     ThresholdVector,
@@ -32,9 +33,14 @@ from .traffic import (
 )
 
 # Event kinds; departures sort ahead of arrivals at equal timestamps so a
-# freed channel is visible to a simultaneous arrival.
+# freed channel is visible to a simultaneous arrival, and the end-of-run
+# marker sorts after both.
 _DEPARTURE = 0
 _ARRIVAL = 1
+_END = 2
+
+# Exponential draws fetched from a random stream at a time.
+_DRAW_BLOCK = 1024
 
 
 class Scheme(Enum):
@@ -106,33 +112,6 @@ class Scenario:
             raise ValueError(f"smoothing must be in (0, 1], got {self.smoothing!r}")
 
 
-@dataclass
-class SimState:
-    """Mutable admission-relevant state threaded through the event loop.
-
-    ``thresholds`` is None while the shared pool is in effect (light load,
-    bootstrap, or the non-priority scheme) and holds the current per-class
-    limits otherwise.
-    """
-
-    occupied: int = 0
-    thresholds: tuple[int, ...] | None = None
-    estimator: RateEstimator | None = None
-    clock: float = 0.0
-
-
-def admit_call(state: SimState, cls: int, params: SystemParams) -> bool:
-    """Admission decision for a class-``cls`` arrival; True means admit.
-
-    With no thresholds in effect any class may take any free channel; with
-    thresholds, class ``cls`` is admitted only below its limit. Ongoing
-    calls are never preempted.
-    """
-    if state.thresholds is None:
-        return state.occupied < params.capacity
-    return state.occupied < state.thresholds[cls - 1]
-
-
 def blocking_stderr(blocked: int, offered: int) -> float | None:
     """Binomial standard error of a blocking estimate; None when nothing was offered."""
     if offered < 0 or blocked < 0:
@@ -188,166 +167,179 @@ class SimReport:
     trace: tuple[tuple[float, int, bool], ...] | None = None
 
 
+def _exponentials(rng: np.random.Generator):
+    """Endless unit-mean exponential draws from ``rng``, fetched in blocks.
+
+    ``standard_exponential(n)[i] * scale`` is bitwise equal to the i-th of n
+    successive ``exponential(scale)`` calls, across block refills too, so
+    block draws reproduce the per-call streams exactly.
+    """
+    while True:
+        yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
+
+
 def run_simulation(scenario: Scenario) -> SimReport:
     """Run one scenario to its horizon and report blocking and utilization."""
     params = scenario.params
     m_count = params.class_count
     capacity = params.capacity
-    mu = params.service_rate
     pool = params.reservable_pool
     high_rate = params.high_load_rate
     horizon = scenario.horizon
     warmup = scenario.warmup
-    scheme = scenario.scheme
+    smoothing = scenario.smoothing
+    dynamic = scenario.scheme is Scheme.DYNAMIC
 
-    # Segment table: (start, end, rates).
+    # Segment table: end times and per-class mean gaps (None while silent).
     starts = [s for s, _ in scenario.schedule]
-    segments = [
-        (start, starts[k + 1] if k + 1 < len(starts) else horizon, rates)
-        for k, (start, rates) in enumerate(scenario.schedule)
+    seg_ends = starts[1:] + [horizon]
+    seg_scales = [
+        [1.0 / r if r > 0.0 else None for r in rates] for _, rates in scenario.schedule
     ]
+    last_seg = len(seg_ends) - 1
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(m_count + 1)
-    arrival_rngs = [np.random.default_rng(s) for s in child_seqs[:m_count]]
-    holding_rng = np.random.default_rng(child_seqs[m_count])
-
-    seg_ptrs = [0] * m_count
-
-    def next_arrival(idx: int, t: float) -> tuple[float, int] | None:
-        # Walk segments from t; redrawing at each boundary is exact for
-        # piecewise-constant Poisson input (memorylessness).
-        k = seg_ptrs[idx]
-        while True:
-            _, end, rates = segments[k]
-            rate = rates[idx]
-            if rate > 0.0:
-                candidate = t + arrival_rngs[idx].exponential(1.0 / rate)
-                if candidate < end:
-                    seg_ptrs[idx] = k
-                    return candidate, k
-            if k + 1 >= len(segments):
-                seg_ptrs[idx] = k
-                return None
-            t = end
-            k += 1
+    arrival_draws = [_exponentials(np.random.default_rng(s)) for s in child_seqs[:m_count]]
+    holding_draws = _exponentials(np.random.default_rng(child_seqs[m_count]))
+    holding_scale = 1.0 / params.service_rate
 
     # Event heap entries: (time, kind, insertion seq, class index, segment).
-    heap: list[tuple[float, int, int, int, int]] = []
-    seq = 0
-    for idx in range(m_count):
-        nxt = next_arrival(idx, 0.0)
-        if nxt is not None:
-            heappush(heap, (nxt[0], _ARRIVAL, seq, idx, nxt[1]))
-            seq += 1
+    # The end marker sorts after every event at the horizon and before any
+    # later one, so popping it closes the run.
+    heap: list[tuple[float, int, int, int, int]] = [(horizon, _END, -1, -1, -1)]
+    tick = itertools.count()
 
-    state = SimState()
-    mode_high = False
-    if scheme is Scheme.FIXED_GUARD:
-        state.thresholds = scenario.fixed_thresholds.limits
+    def schedule_arrival(idx: int, t: float, k: int) -> None:
+        # Walk segments from t in segment k; redrawing at each boundary is
+        # exact for piecewise-constant Poisson input (memorylessness).
+        while True:
+            scale = seg_scales[k][idx]
+            if scale is not None:
+                candidate = t + next(arrival_draws[idx]) * scale
+                if candidate < seg_ends[k]:
+                    heappush(heap, (candidate, _ARRIVAL, next(tick), idx, k))
+                    return
+            if k == last_seg:
+                return
+            t = seg_ends[k]
+            k += 1
+
+    for idx in range(m_count):
+        schedule_arrival(idx, 0.0, 0)
+
+    # The schemes differ only in the limits in force: the shared pool, fixed
+    # guards, or (DYNAMIC) whatever the latest estimate implies.
+    shared = (capacity,) * m_count
+    if scenario.scheme is Scheme.FIXED_GUARD:
+        limits = scenario.fixed_thresholds.limits
         mode_high = True
-    elif scheme is Scheme.DYNAMIC:
-        state.estimator = RateEstimator(
-            priors=segments[0][2], smoothing=scenario.smoothing
-        )
+    else:
+        limits = shared
+        mode_high = False
+    # DYNAMIC estimator state (see RateEstimator): each class's last arrival
+    # time, its 1/gap estimate, and how many classes have no gap yet.
+    last_seen: list[float | None] = [None] * m_count
+    estimates: list[float | None] = [None] * m_count
+    missing = m_count
 
     offered = [0] * m_count
     blocked = [0] * m_count
-    seg_offered = [[0] * m_count for _ in segments]
-    seg_blocked = [[0] * m_count for _ in segments]
-    seg_busy = [0.0] * len(segments)
+    seg_offered = [[0] * m_count for _ in seg_ends]
+    seg_blocked = [[0] * m_count for _ in seg_ends]
+    seg_busy = [0.0] * len(seg_ends)
     busy_time = 0.0
     light_time = 0.0
     high_time = 0.0
+    occupied = 0
     admitted_total = 0
     departed_total = 0
     event_count = 0
     trace: list[tuple[float, int, bool]] | None = [] if scenario.record_trace else None
 
     prev_t = 0.0
-    busy_seg_ptr = 0
+    busy_seg = 0
 
-    def advance(to_t: float) -> None:
-        # Accumulate occupancy-time over (prev_t, to_t] clipped to the
-        # measurement window, split across schedule segments.
-        nonlocal prev_t, busy_time, light_time, high_time, busy_seg_ptr
-        lo = prev_t if prev_t > warmup else warmup
-        hi = to_t if to_t < horizon else horizon
-        if hi > lo:
-            busy_time += state.occupied * (hi - lo)
-            if mode_high:
-                high_time += hi - lo
-            else:
-                light_time += hi - lo
-            x = lo
-            k = busy_seg_ptr
-            while x < hi:
-                while segments[k][1] <= x:
-                    k += 1
-                upto = hi if hi < segments[k][1] else segments[k][1]
-                seg_busy[k] += state.occupied * (upto - x)
-                x = upto
-            busy_seg_ptr = k
-        prev_t = to_t
-
-    while heap:
+    while True:
         t, kind, _, idx, seg_k = heappop(heap)
-        if t > horizon:
+        # Accumulate occupancy-time over (prev_t, t] clipped to the
+        # measurement window, split across schedule segments.
+        lo = prev_t if prev_t > warmup else warmup
+        if t > lo:
+            span = t - lo
+            busy_time += occupied * span
+            if mode_high:
+                high_time += span
+            else:
+                light_time += span
+            x = lo
+            k = busy_seg
+            while x < t:
+                while seg_ends[k] <= x:
+                    k += 1
+                upto = t if t < seg_ends[k] else seg_ends[k]
+                seg_busy[k] += occupied * (upto - x)
+                x = upto
+            busy_seg = k
+        prev_t = t
+        if kind == _END:
             break
-        advance(t)
-        state.clock = t
         event_count += 1
 
         if kind == _DEPARTURE:
-            state.occupied -= 1
+            occupied -= 1
             departed_total += 1
-            assert state.occupied >= 0
+            assert occupied >= 0
             continue
 
         # Arrival of class idx+1 inside segment seg_k.
-        if scheme is Scheme.DYNAMIC:
-            est = state.estimator.observe(idx + 1, t)
-            state.estimator = est
-            if est.ready:
-                rates_hat = est.rates()
-                if math.fsum(rates_hat) >= high_rate:
-                    mode_high = True
-                    state.thresholds = _threshold_limits(rates_hat, capacity, pool)
-                else:
-                    mode_high = False
-                    state.thresholds = None
+        if dynamic:
+            prev = last_seen[idx]
+            last_seen[idx] = t
+            if prev is not None:
+                gap = t - prev
+                inst = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
+                old = estimates[idx]
+                if old is None:
+                    missing -= 1
+                elif smoothing is not None:
+                    inst = smoothing * inst + (1.0 - smoothing) * old
+                estimates[idx] = inst
             # Until every class has two arrivals the gap estimates are
             # undefined; the scheme stays on the shared pool.
+            if not missing:
+                lam_total = math.fsum(estimates)
+                if lam_total >= high_rate:
+                    mode_high = True
+                    limits = _threshold_limits(estimates, lam_total, capacity, pool)
+                else:
+                    mode_high = False
+                    limits = shared
 
-        admitted = admit_call(state, idx + 1, params)
+        admitted = occupied < limits[idx]
         measured = t >= warmup
         if measured:
             offered[idx] += 1
             seg_offered[seg_k][idx] += 1
         if admitted:
-            state.occupied += 1
+            occupied += 1
             admitted_total += 1
-            assert state.occupied <= capacity
-            departure = t + holding_rng.exponential(1.0 / mu)
-            heappush(heap, (departure, _DEPARTURE, seq, -1, -1))
-            seq += 1
+            assert occupied <= capacity
+            departure = t + next(holding_draws) * holding_scale
+            heappush(heap, (departure, _DEPARTURE, next(tick), -1, -1))
         elif measured:
             blocked[idx] += 1
             seg_blocked[seg_k][idx] += 1
         if trace is not None:
             trace.append((t, idx + 1, admitted))
 
-        nxt = next_arrival(idx, t)
-        if nxt is not None:
-            heappush(heap, (nxt[0], _ARRIVAL, seq, idx, nxt[1]))
-            seq += 1
+        schedule_arrival(idx, t, seg_k)
 
-    advance(horizon)
-    assert admitted_total - departed_total == state.occupied
+    assert admitted_total - departed_total == occupied
 
     measured_time = horizon - warmup
     seg_stats = []
-    for k, (start, end, _) in enumerate(segments):
+    for k, (start, end) in enumerate(zip(starts, seg_ends)):
         win_lo = max(start, warmup)
         win_hi = min(end, horizon)
         win = max(0.0, win_hi - win_lo)

@@ -172,13 +172,14 @@ def reservation_quota(rates, params: SystemParams, cls: int) -> float:
     return vec[cls - 1] / lam_total * params.reservable_pool
 
 
-def _threshold_limits(vec: RateVector, capacity: int, pool: int) -> tuple[int, ...]:
-    """Integer availability limits from a validated rate vector.
+def _threshold_limits(
+    vec: RateVector, lam_total: float, capacity: int, pool: int
+) -> tuple[int, ...]:
+    """Integer availability limits from a validated rate vector and its fsum.
 
     Shared by :func:`availability_thresholds` and the simulator's per-arrival
     recomputation so both always agree.
     """
-    lam_total = math.fsum(vec)
     limits = [capacity]
     cum = 0.0
     for lam in vec[:-1]:
@@ -197,12 +198,13 @@ def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
     the fractional remainder available to lower classes.
     """
     vec = as_rate_vector(rates, params.class_count)
-    if math.fsum(vec) == 0.0:
+    lam_total = math.fsum(vec)
+    if lam_total == 0.0:
         raise ZeroTotalRateError("availability thresholds undefined at zero total rate")
     quotas = tuple(
         reservation_quota(vec, params, m) for m in range(1, params.class_count)
     )
-    limits = _threshold_limits(vec, params.capacity, params.reservable_pool)
+    limits = _threshold_limits(vec, lam_total, params.capacity, params.reservable_pool)
     return ThresholdVector(limits, quotas)
 
 
@@ -213,8 +215,9 @@ class RateEstimator:
     A class's estimate becomes 1/gap once two arrivals have been seen; until
     then queries fall back to the configured prior. Gaps of zero (discrete
     timestamps colliding) are clamped to ``MIN_GAP``. With ``smoothing`` set
-    to a factor in (0, 1], estimates are exponentially weighted over the
-    instantaneous 1/gap values instead of tracking only the newest gap.
+    to a factor s in (0, 1], an estimate is an exponentially weighted average
+    of the instantaneous rates, not of the gaps: new = s*(1/gap) + (1 - s)*old.
+    The simulator's event loop keeps the same arithmetic on plain lists.
     """
 
     priors: tuple[float, ...]
@@ -273,8 +276,3 @@ class RateEstimator:
         return tuple(
             p if e is None else e for p, e in zip(self.priors, self.estimates)
         )
-
-
-def observe_arrival(est: RateEstimator, cls: int, timestamp: float) -> RateEstimator:
-    """Functional form of :meth:`RateEstimator.observe`."""
-    return est.observe(cls, timestamp)

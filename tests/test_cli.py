@@ -64,6 +64,13 @@ def test_seed_override_changes_the_run(conf, tmp_path):
     assert out1.read_bytes() != out3.read_bytes()
 
 
+def test_negative_seed_exits_one(conf, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(["sweep", "--config", str(conf), "--out", str(out), "--seed", "-3"]) == 1
+    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_out_from_config(tmp_path):
     out = tmp_path / "from_config.csv"
     conf = tmp_path / "sweep.conf"

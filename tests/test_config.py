@@ -152,6 +152,16 @@ def test_bad_smoothing(tmp_path):
         load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.smoothing = 2\n"))
 
 
+def test_negative_seed_names_the_line(tmp_path):
+    with pytest.raises(ConfigError, match=r"sweep\.conf:3: 'sim\.seeds' must be non-negative"):
+        load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.seeds = 2, -1\n"))
+
+
+def test_duplicate_seed_names_the_line(tmp_path):
+    with pytest.raises(ConfigError, match=r"sweep\.conf:3: seed 1 listed twice"):
+        load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.seeds = 1, 1\n"))
+
+
 def test_garbled_line(tmp_path):
     with pytest.raises(ConfigError, match="key = value"):
         load_config(write(tmp_path, "capacity 10\n"))

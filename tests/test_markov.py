@@ -184,6 +184,15 @@ class TestErlangB:
         with pytest.raises(ValueError):
             erlang_b(3, -0.5)
 
+    def test_nonpriority_utilization_saturates_at_huge_load(self):
+        # offered * (1 - B) cancels to 0 once B rounds to 1; the report must
+        # still see a full pool
+        params = SystemParams(40, 20)
+        for lam_total in (1e17, 1e308):
+            rep = nonpriority_report(params, (0.4 * lam_total, 0.3 * lam_total, 0.3 * lam_total))
+            assert rep.blocking == (erlang_b(40, lam_total),) * 3
+            assert 0.999 <= rep.utilization <= 1.0
+
 
 class TestQuasiStationaryCurve:
     PARAMS = SystemParams(10, 5)

@@ -1,5 +1,6 @@
 """Event-loop behavior: admission, determinism, and statistical agreement."""
 
+import hashlib
 import math
 
 import pytest
@@ -7,10 +8,8 @@ import pytest
 from dynguard import (
     Scenario,
     Scheme,
-    SimState,
     SystemParams,
     ThresholdVector,
-    admit_call,
     blocking_stderr,
     erlang_b,
     run_simulation,
@@ -50,24 +49,46 @@ class TestBlockingStderr:
             blocking_stderr(11, 10)
 
 
-class TestAdmitCall:
+class TestAdmissionBoundary:
+    # With a mean holding time of 1e9 no call departs before the horizon, so
+    # the occupancy an arrival sees is the number admitted before it.
+    PARAMS = SystemParams(4, 0, service_rate=1e-9, class_count=3)
+
+    def decisions(self, scheme, seed):
+        """(occupancy, class, admitted) for every arrival, each checked against the limits."""
+        fixed = scheme is Scheme.FIXED_GUARD
+        limits = TV_SMALL.limits if fixed else (4, 4, 4)
+        rep = run_simulation(
+            Scenario(
+                params=self.PARAMS,
+                schedule=((0.0, (1.0, 1.0, 1.0)),),
+                horizon=20.0,
+                seed=seed,
+                scheme=scheme,
+                fixed_thresholds=TV_SMALL if fixed else None,
+                record_trace=True,
+            )
+        )
+        assert rep.event_count == len(rep.trace)  # no departures
+        seen = set()
+        occupied = 0
+        for _, cls, admitted in rep.trace:
+            assert admitted == (occupied < limits[cls - 1])
+            seen.add((occupied, cls, admitted))
+            occupied += admitted
+        return seen
+
     def test_shared_pool_admits_lowest_class_at_last_channel(self):
-        state = SimState(occupied=3, thresholds=None)
-        assert admit_call(state, 3, PARAMS_SMALL)
+        seen = self.decisions(Scheme.NON_PRIORITY, 3)
+        assert (3, 3, True) in seen
 
     def test_full_capacity_blocks_everyone(self):
-        state = SimState(occupied=4, thresholds=None)
-        assert not admit_call(state, 1, PARAMS_SMALL)
-        state.thresholds = TV_SMALL.limits
-        assert not admit_call(state, 1, PARAMS_SMALL)
+        assert (4, 1, False) in self.decisions(Scheme.NON_PRIORITY, 3)
+        assert (4, 1, False) in self.decisions(Scheme.FIXED_GUARD, 12)
 
     def test_threshold_blocks_at_limit(self):
-        state = SimState(occupied=2, thresholds=TV_SMALL.limits)
-        assert not admit_call(state, 3, PARAMS_SMALL)
-        assert admit_call(state, 2, PARAMS_SMALL)
-        state.occupied = 3
-        assert not admit_call(state, 2, PARAMS_SMALL)
-        assert admit_call(state, 1, PARAMS_SMALL)
+        seen = self.decisions(Scheme.FIXED_GUARD, 12)
+        assert {(2, 3, False), (2, 2, True), (3, 2, False), (3, 1, True)} <= seen
 
 
 class TestScenarioValidation:
@@ -278,3 +299,74 @@ class TestDynamicScheme:
         assert first.offered[0] > first.offered[2] / 2
         assert second.offered[2] > second.offered[0]
         assert 0.0 <= second.utilization <= 1.0
+
+
+class TestPinnedStreams:
+    """SHA-256 digests of full traced reports.
+
+    They pin every random stream, the event order and the statistics, so a
+    change meant to leave the output alone must leave them unchanged.
+    """
+
+    N40 = SystemParams(40, 20)
+    RATES48 = (19.2, 14.4, 14.4)  # over 1024 arrivals per class: block refills
+
+    @staticmethod
+    def digest(rep):
+        fields = (
+            rep.offered, rep.blocked, rep.blocking_stderr, rep.event_count,
+            rep.utilization, rep.light_time_fraction, rep.high_time_fraction,
+            tuple((s.offered, s.blocked, s.utilization, s.measured_time) for s in rep.segments),
+            rep.trace,
+        )
+        return hashlib.sha256(repr(fields).encode()).hexdigest()
+
+    @pytest.mark.parametrize(
+        "scheme, fixed, digest",
+        [
+            (Scheme.DYNAMIC, None,
+             "17d7a282c50f0c4ef2d41c9dab80f14b3c8ca0a1712faac9d7ffb9844f0d4596"),
+            (Scheme.FIXED_GUARD, ThresholdVector((40, 32, 26)),
+             "543bd1f98eac20cb2b7fcc78298ad8cf14e05f2daeb29aa6e9422e8ac264c4bc"),
+            (Scheme.NON_PRIORITY, None,
+             "6a841c5b39f7289aea43a899b631281bf4612a078b9e61240c6297e50f2a9f32"),
+        ],
+    )
+    def test_each_scheme(self, scheme, fixed, digest):
+        rep = run_simulation(
+            Scenario(
+                params=self.N40, schedule=((0.0, self.RATES48),), horizon=100.0, seed=11,
+                scheme=scheme, fixed_thresholds=fixed, record_trace=True,
+            )
+        )
+        assert min(rep.offered) > 1024
+        assert self.digest(rep) == digest
+
+    def test_segments_with_silent_phase(self):
+        rep = run_simulation(
+            Scenario(
+                params=SystemParams(10, 5),
+                schedule=(
+                    (0.0, (8.0, 6.0, 5.0)),
+                    (30.0, (0.0, 0.0, 0.0)),
+                    (40.0, (0.0, 10.0, 4.0)),
+                    (70.0, (12.0, 0.0, 9.0)),
+                ),
+                horizon=100.0, seed=12, warmup=5.0, record_trace=True,
+            )
+        )
+        assert rep.segments[1].offered == (0, 0, 0)
+        assert self.digest(rep) == (
+            "b21b77a7c646e3011b013eb731debaec246b797bcb4ee551cd07e38c10f313a6"
+        )
+
+    def test_smoothing(self):
+        rep = run_simulation(
+            Scenario(
+                params=self.N40, schedule=((0.0, self.RATES48),), horizon=100.0, seed=13,
+                smoothing=0.1, record_trace=True,
+            )
+        )
+        assert self.digest(rep) == (
+            "a53052d412aeab85296d9b44ee63299a5cdedaacfbb061fba9ff3eb51011acbb"
+        )

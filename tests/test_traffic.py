@@ -14,7 +14,6 @@ from dynguard import (
     as_rate_vector,
     availability_thresholds,
     classify_load,
-    observe_arrival,
     reservation_quota,
     total_arrival_rate,
 )
@@ -234,7 +233,7 @@ class TestRateEstimator:
 
     def test_observe_is_functional(self):
         est = RateEstimator(priors=(1.0,))
-        est2 = observe_arrival(est, 1, 1.0)
+        est2 = est.observe(1, 1.0)
         assert est.last_seen == (None,)
         assert est2.last_seen == (1.0,)
 
