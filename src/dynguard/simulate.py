@@ -11,11 +11,14 @@ shared-pool baselines run on the same event loop for comparison.
 A run is deterministic for a given scenario and seed: each class draws its
 inter-arrival times from its own seeded stream and holding times come from
 one more, so changing one class's traffic never perturbs the others.
+Arrival times never depend on admission decisions, so each class's are
+computed ahead of the loop in blocks and merged in bounded time windows;
+only departures go through the event heap. Simultaneous events process
+departures first, then arrivals in class order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -31,13 +34,6 @@ from .traffic import (
     _threshold_limits,
     as_rate_vector,
 )
-
-# Event kinds; departures sort ahead of arrivals at equal timestamps so a
-# freed channel is visible to a simultaneous arrival, and the end-of-run
-# marker sorts after both.
-_DEPARTURE = 0
-_ARRIVAL = 1
-_END = 2
 
 # Exponential draws fetched from a random stream at a time.
 _DRAW_BLOCK = 1024
@@ -178,6 +174,81 @@ def _exponentials(rng: np.random.Generator):
         yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
 
 
+def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
+    """One class's arrival times as ``(times, segment, known)`` chunks, in order.
+
+    ``scales[k]`` is the class's mean gap in segment k (None while silent)
+    and ``seg_ends[k]`` the segment's end. Inside a segment each draw x
+    gives the next arrival t + x*scale; the first one at or past the
+    segment end is discarded and the walk restarts at that end, which is
+    exact for piecewise-constant Poisson input (memorylessness). Silent
+    segments consume no draws. Draws come in blocks of ``_DRAW_BLOCK``,
+    fetched only when needed, and a block's times are one cumulative sum:
+    ``cumsum`` is a sequential ``add.accumulate``, so every time is bitwise
+    equal to the per-draw additions. No later chunk holds a time before
+    ``known``: the segment end for the chunk that closes a segment (which
+    may be empty), else the chunk's last time.
+    """
+    t = 0.0
+    block = np.empty(0)
+    pos = 0
+    for k, (scale, end) in enumerate(zip(scales, seg_ends)):
+        while scale is not None:
+            if pos == len(block):
+                block = rng.standard_exponential(_DRAW_BLOCK)
+                pos = 0
+            acc = block[pos:] * scale
+            acc[0] += t
+            np.cumsum(acc, out=acc)
+            n = int(np.searchsorted(acc, end, side="left"))
+            if n < len(acc):
+                pos += n + 1  # the overshoot draw is consumed
+                yield acc[:n], k, end
+                break
+            yield acc, k, acc[-1]
+            pos = len(block)
+            t = acc[-1]
+        t = end
+
+
+def _arrival_windows(streams, horizon: float):
+    """Merge per-class chunk streams into time-ordered arrival windows.
+
+    Each window is every pending arrival up to the earliest ``known`` time
+    among the classes' pending chunks, as plain ``(times, classes,
+    segments)`` lists sorted by time, ties in class order; so about one
+    chunk per class is pending at once. The last window ends with an
+    end-of-run marker at the horizon with class and segment -1.
+    """
+    pending = [next(stream, None) for stream in streams]
+    while any(p is not None for p in pending):
+        w = min(p[2] for p in pending if p is not None)
+        times, classes, segs = [], [], []
+        for idx, p in enumerate(pending):
+            if p is None:
+                continue
+            chunk, k, known = p
+            n = int(np.searchsorted(chunk, w, side="right"))
+            if n == len(chunk) and known <= w:
+                pending[idx] = next(streams[idx], None)
+            elif n:
+                pending[idx] = (chunk[n:], k, known)
+            if n:
+                times.append(chunk[:n])
+                classes.append(np.full(n, idx))
+                segs.append(np.full(n, k))
+        if not times:
+            continue
+        times = np.concatenate(times)
+        order = np.argsort(times, kind="stable")
+        yield (
+            times[order].tolist(),
+            np.concatenate(classes)[order].tolist(),
+            np.concatenate(segs)[order].tolist(),
+        )
+    yield [horizon], [-1], [-1]
+
+
 def run_simulation(scenario: Scenario) -> SimReport:
     """Run one scenario to its horizon and report blocking and utilization."""
     params = scenario.params
@@ -190,43 +261,28 @@ def run_simulation(scenario: Scenario) -> SimReport:
     smoothing = scenario.smoothing
     dynamic = scenario.scheme is Scheme.DYNAMIC
 
-    # Segment table: end times and per-class mean gaps (None while silent).
+    # Segment table: end times, and each class's mean gap per segment (None
+    # while silent).
     starts = [s for s, _ in scenario.schedule]
     seg_ends = starts[1:] + [horizon]
-    seg_scales = [
-        [1.0 / r if r > 0.0 else None for r in rates] for _, rates in scenario.schedule
+    class_gaps = [
+        [1.0 / rates[idx] if rates[idx] > 0.0 else None for _, rates in scenario.schedule]
+        for idx in range(m_count)
     ]
-    last_seg = len(seg_ends) - 1
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(m_count + 1)
-    arrival_draws = [_exponentials(np.random.default_rng(s)) for s in child_seqs[:m_count]]
+    arrivals = _arrival_windows(
+        [
+            _arrival_chunks(np.random.default_rng(s), gaps, seg_ends)
+            for s, gaps in zip(child_seqs, class_gaps)
+        ],
+        horizon,
+    )
     holding_draws = _exponentials(np.random.default_rng(child_seqs[m_count]))
     holding_scale = 1.0 / params.service_rate
-
-    # Event heap entries: (time, kind, insertion seq, class index, segment).
-    # The end marker sorts after every event at the horizon and before any
-    # later one, so popping it closes the run.
-    heap: list[tuple[float, int, int, int, int]] = [(horizon, _END, -1, -1, -1)]
-    tick = itertools.count()
-
-    def schedule_arrival(idx: int, t: float, k: int) -> None:
-        # Walk segments from t in segment k; redrawing at each boundary is
-        # exact for piecewise-constant Poisson input (memorylessness).
-        while True:
-            scale = seg_scales[k][idx]
-            if scale is not None:
-                candidate = t + next(arrival_draws[idx]) * scale
-                if candidate < seg_ends[k]:
-                    heappush(heap, (candidate, _ARRIVAL, next(tick), idx, k))
-                    return
-            if k == last_seg:
-                return
-            t = seg_ends[k]
-            k += 1
-
-    for idx in range(m_count):
-        schedule_arrival(idx, 0.0, 0)
+    # Pending departure times; the infinite sentinel keeps deps[0] defined.
+    deps = [math.inf]
 
     # The schemes differ only in the limits in force: the shared pool, fixed
     # guards, or (DYNAMIC) whatever the latest estimate implies.
@@ -259,81 +315,90 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     prev_t = 0.0
     busy_seg = 0
+    busy_end = seg_ends[0]
 
-    while True:
-        t, kind, _, idx, seg_k = heappop(heap)
-        # Accumulate occupancy-time over (prev_t, t] clipped to the
-        # measurement window, split across schedule segments.
-        lo = prev_t if prev_t > warmup else warmup
-        if t > lo:
-            span = t - lo
-            busy_time += occupied * span
-            if mode_high:
-                high_time += span
-            else:
-                light_time += span
-            x = lo
-            k = busy_seg
-            while x < t:
-                while seg_ends[k] <= x:
-                    k += 1
-                upto = t if t < seg_ends[k] else seg_ends[k]
-                seg_busy[k] += occupied * (upto - x)
-                x = upto
-            busy_seg = k
-        prev_t = t
-        if kind == _END:
-            break
-        event_count += 1
+    for times, classes, segs in arrivals:
+        for na, idx, seg_k in zip(times, classes, segs):
+            # Departures at or before the next arrival go first; the end
+            # marker sits at the horizon, so departures there still count.
+            while True:
+                departing = deps[0] <= na
+                t = heappop(deps) if departing else na
+                # Accumulate occupancy-time over (prev_t, t] clipped to the
+                # measurement window, split across schedule segments.
+                lo = prev_t if prev_t > warmup else warmup
+                if t > lo:
+                    span = t - lo
+                    busy_time += occupied * span
+                    if mode_high:
+                        high_time += span
+                    else:
+                        light_time += span
+                    if t <= busy_end:
+                        # Inside the current segment the walk below would
+                        # add this same product.
+                        seg_busy[busy_seg] += occupied * span
+                    else:
+                        x = lo
+                        k = busy_seg
+                        while x < t:
+                            while seg_ends[k] <= x:
+                                k += 1
+                            upto = t if t < seg_ends[k] else seg_ends[k]
+                            seg_busy[k] += occupied * (upto - x)
+                            x = upto
+                        busy_seg = k
+                        busy_end = seg_ends[k]
+                prev_t = t
+                if not departing:
+                    break
+                event_count += 1
+                occupied -= 1
+                departed_total += 1
+                assert occupied >= 0
+            if idx < 0:  # end-of-run marker
+                break
+            event_count += 1
 
-        if kind == _DEPARTURE:
-            occupied -= 1
-            departed_total += 1
-            assert occupied >= 0
-            continue
+            # Arrival of class idx+1 inside segment seg_k.
+            if dynamic:
+                prev = last_seen[idx]
+                last_seen[idx] = t
+                if prev is not None:
+                    gap = t - prev
+                    inst = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
+                    old = estimates[idx]
+                    if old is None:
+                        missing -= 1
+                    elif smoothing is not None:
+                        inst = smoothing * inst + (1.0 - smoothing) * old
+                    estimates[idx] = inst
+                # Until every class has two arrivals the gap estimates are
+                # undefined; the scheme stays on the shared pool.
+                if not missing:
+                    lam_total = math.fsum(estimates)
+                    if lam_total >= high_rate:
+                        mode_high = True
+                        limits = _threshold_limits(estimates, lam_total, capacity, pool)
+                    else:
+                        mode_high = False
+                        limits = shared
 
-        # Arrival of class idx+1 inside segment seg_k.
-        if dynamic:
-            prev = last_seen[idx]
-            last_seen[idx] = t
-            if prev is not None:
-                gap = t - prev
-                inst = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
-                old = estimates[idx]
-                if old is None:
-                    missing -= 1
-                elif smoothing is not None:
-                    inst = smoothing * inst + (1.0 - smoothing) * old
-                estimates[idx] = inst
-            # Until every class has two arrivals the gap estimates are
-            # undefined; the scheme stays on the shared pool.
-            if not missing:
-                lam_total = math.fsum(estimates)
-                if lam_total >= high_rate:
-                    mode_high = True
-                    limits = _threshold_limits(estimates, lam_total, capacity, pool)
-                else:
-                    mode_high = False
-                    limits = shared
-
-        admitted = occupied < limits[idx]
-        measured = t >= warmup
-        if measured:
-            offered[idx] += 1
-            seg_offered[seg_k][idx] += 1
-        if admitted:
-            occupied += 1
-            admitted_total += 1
-            assert occupied <= capacity
-            departure = t + next(holding_draws) * holding_scale
-            heappush(heap, (departure, _DEPARTURE, next(tick), -1, -1))
-        elif measured:
-            blocked[idx] += 1
-            seg_blocked[seg_k][idx] += 1
-        if trace is not None:
-            trace.append((t, idx + 1, admitted))
-
-        schedule_arrival(idx, t, seg_k)
+            admitted = occupied < limits[idx]
+            measured = t >= warmup
+            if measured:
+                offered[idx] += 1
+                seg_offered[seg_k][idx] += 1
+            if admitted:
+                occupied += 1
+                admitted_total += 1
+                assert occupied <= capacity
+                heappush(deps, t + next(holding_draws) * holding_scale)
+            elif measured:
+                blocked[idx] += 1
+                seg_blocked[seg_k][idx] += 1
+            if trace is not None:
+                trace.append((t, idx + 1, admitted))
 
     assert admitted_total - departed_total == occupied
 

@@ -13,7 +13,7 @@ instead of mutating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 # A per-class arrival-rate vector (calls per unit time), index 0 = class 1.
@@ -264,7 +264,11 @@ class RateEstimator:
                 inst = self.smoothing * inst + (1.0 - self.smoothing) * old
             estimates = estimates[:idx] + (inst,) + estimates[idx + 1 :]
         last_seen = self.last_seen[:idx] + (timestamp,) + self.last_seen[idx + 1 :]
-        return replace(self, last_seen=last_seen, estimates=estimates)
+        # The state stays consistent, so the successor skips __post_init__
+        # and its re-validation of the unchanged priors.
+        successor = object.__new__(type(self))
+        vars(successor).update(vars(self), last_seen=last_seen, estimates=estimates)
+        return successor
 
     def rate(self, cls: int) -> float:
         """Current estimate for 1-based class ``cls`` (prior until two arrivals)."""

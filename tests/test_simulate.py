@@ -3,6 +3,7 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from dynguard import (
@@ -14,6 +15,7 @@ from dynguard import (
     erlang_b,
     run_simulation,
 )
+from dynguard.simulate import _arrival_chunks, _arrival_windows
 
 PARAMS_SMALL = SystemParams(4, 0, class_count=3)
 TV_SMALL = ThresholdVector((4, 3, 2))
@@ -299,6 +301,98 @@ class TestDynamicScheme:
         assert first.offered[0] > first.offered[2] / 2
         assert second.offered[2] > second.offered[0]
         assert 0.0 <= second.utilization <= 1.0
+
+
+class TestEstimatorBias:
+    """The paper's 1/gap estimator over-estimates every class's rate.
+
+    At half the HIGH boundary (lambda = 20 against 43.2) the load is light,
+    yet DYNAMIC spends about half the measured time in HIGH mode, and
+    smoothing the rates makes it worse. These bounds record the bias; a
+    sound estimator would stay near 0.
+    """
+
+    @staticmethod
+    def high_fraction(seed, smoothing):
+        return run_simulation(
+            Scenario(
+                params=SystemParams(40, 20), schedule=((0.0, (8.0, 6.0, 6.0)),),
+                horizon=500.0, seed=seed, smoothing=smoothing,
+            )
+        ).high_time_fraction
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_gap_estimator_reads_high_half_the_time(self, seed):
+        assert 0.4 <= self.high_fraction(seed, None) <= 0.7
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smoothed_rates_read_high_almost_always(self, seed):
+        assert self.high_fraction(seed, 0.1) > 0.95
+
+
+def per_draw_walk(rng, scales, seg_ends):
+    """Reference arrival walk of one class: one candidate time per draw."""
+
+    def draws():
+        while True:
+            yield from rng.standard_exponential(1024).tolist()
+
+    stream = draws()
+    arrivals, t = [], 0.0
+    for k, (scale, end) in enumerate(zip(scales, seg_ends)):
+        while scale is not None:
+            candidate = t + next(stream) * scale
+            if candidate >= end:  # discarded; the walk restarts at the end
+                break
+            arrivals.append((candidate, k))
+            t = candidate
+        t = end
+    return arrivals
+
+
+class TestArrivalStreams:
+    @pytest.mark.parametrize(
+        "scales, seg_ends",
+        [
+            ([0.1, None, 0.2], [30.0, 40.0, 70.0]),  # silent segment
+            ([0.1, 10.0, 0.1], [5.0, 5.5, 9.0]),  # middle segment shorter than a gap
+            ([0.01, 0.5], [40.0, 45.0]),  # about 4000 arrivals: over 3 blocks
+            ([None, None], [10.0, 20.0]),  # zero-rate class
+        ],
+    )
+    def test_chunks_match_per_draw_walk(self, scales, seg_ends):
+        expected = per_draw_walk(np.random.default_rng(5), scales, seg_ends)
+        rng = np.random.default_rng(5)
+        chunks = list(_arrival_chunks(rng, scales, seg_ends))
+        assert [(t, k) for times, k, _ in chunks for t in times.tolist()] == expected
+        for (times, _, known), (later, _, _) in zip(chunks, chunks[1:]):
+            assert (times <= known).all() and (later >= known).all()
+        reference_rng = np.random.default_rng(5)
+        per_draw_walk(reference_rng, scales, seg_ends)
+        assert rng.standard_exponential() == reference_rng.standard_exponential()
+
+    def test_walk_covers_each_case(self):
+        def counts(scales, seg_ends):
+            walk = per_draw_walk(np.random.default_rng(5), scales, seg_ends)
+            return [sum(1 for _, k in walk if k == seg) for seg in range(len(seg_ends))]
+
+        assert counts([0.1, None, 0.2], [30.0, 40.0, 70.0])[1] == 0
+        assert counts([0.1, 10.0, 0.1], [5.0, 5.5, 9.0])[1] == 0
+        assert counts([0.01, 0.5], [40.0, 45.0])[0] > 3 * 1024
+
+    def test_windows_merge_in_time_then_class_order(self):
+        streams = [
+            iter([(np.array([1.0, 2.0]), 0, 4.0), (np.array([4.5]), 1, 9.0)]),
+            iter([]),
+            iter([(np.array([1.0, 1.5, 2.5]), 0, 2.5), (np.array([]), 0, 4.0),
+                  (np.array([4.5, 6.0]), 1, 9.0)]),
+        ]
+        windows = list(_arrival_windows(streams, 9.0))
+        assert windows == [
+            ([1.0, 1.0, 1.5, 2.0, 2.5], [0, 2, 2, 0, 2], [0, 0, 0, 0, 0]),
+            ([4.5, 4.5, 6.0], [0, 2, 2], [1, 1, 1]),
+            ([9.0], [-1], [-1]),
+        ]
 
 
 class TestPinnedStreams:

@@ -236,7 +236,12 @@ class TestRateEstimator:
         est2 = est.observe(1, 1.0)
         assert est.last_seen == (None,)
         assert est2.last_seen == (1.0,)
-
+        # the successor is a full frozen estimator, equal to one built directly
+        assert est2 == RateEstimator(priors=(1.0,), last_seen=(1.0,), estimates=(None,))
+        with pytest.raises(AttributeError):
+            est2.priors = (2.0,)
+        with pytest.raises(ValueError):
+            est2.observe(2, 1.5)
     def test_ready_needs_every_class(self):
         est = RateEstimator(priors=(1.0, 1.0))
         est = est.observe(1, 0.0).observe(1, 1.0)
