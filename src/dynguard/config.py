@@ -2,8 +2,10 @@
 
 The format is deliberately flat: one ``key = value`` per line, ``#`` starts
 a comment, dotted keys group related settings. Lists are comma separated.
-Unknown keys, duplicate keys, and invariant violations are hard errors that
-name the offending line, so a typo can never silently change an experiment.
+Unknown keys, duplicate keys, empty or unparsable values, and invariant
+violations are hard errors that name the offending line, so a typo can never
+silently change an experiment. Numbers must be finite as floats: ``nan``,
+``inf`` and integers beyond the float range are rejected.
 
 Recognized keys::
 
@@ -21,11 +23,12 @@ Recognized keys::
     sim.enabled      = false
     sim.arrivals     = 100000        # target post-warmup arrivals per run
     sim.seeds        = 1, 2, 3
-    sim.smoothing    =               # optional estimator smoothing in (0, 1]
+    sim.smoothing    = 0.1           # estimator smoothing in (0, 1]; omit for none
     out              = results.csv
 
 When the grid is omitted it defaults to 16 evenly spaced total rates from
-half the capacity rate to twice the capacity rate.
+half the capacity rate to twice the capacity rate. A config that loads also
+has a finite offered load and a finite simulation horizon at every grid point.
 """
 
 from __future__ import annotations
@@ -50,26 +53,64 @@ class ConfigError(ValueError):
 
 _SCHEME_LABELS = {s.value: s for s in Scheme}
 
-_KNOWN_KEYS = frozenset(
-    {
-        "capacity",
-        "common_floor",
-        "service_rate",
-        "load_threshold",
-        "mix",
-        "grid",
-        "grid.min",
-        "grid.max",
-        "grid.steps",
-        "schemes",
-        "fixed.thresholds",
-        "sim.enabled",
-        "sim.arrivals",
-        "sim.seeds",
-        "sim.smoothing",
-        "out",
-    }
-)
+
+def _finite(value):
+    # math.isfinite raises OverflowError for an int beyond the float range.
+    if not math.isfinite(value):
+        raise ValueError(value)
+    return value
+
+
+def _integer(text: str) -> int:
+    return _finite(int(text))
+
+
+def _number(text: str) -> float:
+    return _finite(float(text))
+
+
+def _listed(parse):
+    return lambda text: tuple(parse(part.strip()) for part in text.split(","))
+
+
+def _boolean(text: str) -> bool:
+    word = text.lower()
+    if word in ("true", "yes", "on", "1"):
+        return True
+    if word in ("false", "no", "off", "0"):
+        return False
+    raise ValueError(text)
+
+
+_INTEGER = (_integer, "an integer within the float range")
+_NUMBER = (_number, "a finite number")
+_NUMBERS = (_listed(_number), "a comma-separated list of finite numbers")
+_INTEGERS = (_listed(_integer), "a comma-separated list of integers within the float range")
+
+# Every recognized key, with its parser and what a value that fails to parse
+# must be instead.
+_KEYS = {
+    "capacity": _INTEGER,
+    "common_floor": _INTEGER,
+    "service_rate": _NUMBER,
+    "load_threshold": _NUMBER,
+    "mix": _NUMBERS,
+    "grid": _NUMBERS,
+    "grid.min": _NUMBER,
+    "grid.max": _NUMBER,
+    "grid.steps": _INTEGER,
+    "schemes": (_listed(str.lower), "a comma-separated list of scheme names"),
+    "fixed.thresholds": _INTEGERS,
+    "sim.enabled": (_boolean, "a boolean"),
+    "sim.arrivals": _INTEGER,
+    "sim.seeds": _INTEGERS,
+    "sim.smoothing": _NUMBER,
+    "out": (str, "text"),
+}
+
+_GRID_RANGE = ("grid.min", "grid.max", "grid.steps")
+# Keys that set the SweepConfig field of the same name with dots as underscores.
+_SIM_KEYS = ("sim.enabled", "sim.arrivals", "sim.seeds", "sim.smoothing")
 
 
 @dataclass(frozen=True)
@@ -88,97 +129,31 @@ class SweepConfig:
     out_path: str | None = None
 
 
-def _parse_lines(text: str, path: str) -> dict[str, tuple[str, int]]:
-    entries: dict[str, tuple[str, int]] = {}
+def _parse_lines(text: str, path: str) -> tuple[dict[str, object], dict[str, int]]:
+    """The parsed value and the line number of every key set in ``text``."""
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"expected 'key = value', got {raw.strip()!r}", path, lineno)
-        key, value = line.split("=", 1)
-        key = key.strip().lower()
-        value = value.strip()
-        if key not in _KNOWN_KEYS:
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.lower()
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", path, lineno)
-        if key in entries:
-            raise ConfigError(f"duplicate key {key!r} (first set on line {entries[key][1]})", path, lineno)
-        entries[key] = (value, lineno)
-    return entries
-
-
-class _Reader:
-    """Typed access to parsed entries with line-precise errors."""
-
-    def __init__(self, entries: dict[str, tuple[str, int]], path: str):
-        self.entries = entries
-        self.path = path
-
-    def has(self, key: str) -> bool:
-        return key in self.entries
-
-    def line(self, key: str) -> int | None:
-        return self.entries[key][1] if key in self.entries else None
-
-    def fail(self, key: str, message: str):
-        raise ConfigError(message, self.path, self.line(key))
-
-    def _raw(self, key: str) -> str:
-        value, lineno = self.entries[key]
+        if key in lines:
+            raise ConfigError(f"duplicate key {key!r} (first set on line {lines[key]})", path, lineno)
         if not value:
-            raise ConfigError(f"key {key!r} has an empty value", self.path, lineno)
-        return value
-
-    def int_value(self, key: str, default: int | None = None) -> int | None:
-        if key not in self.entries:
-            return default
-        raw = self._raw(key)
+            raise ConfigError(f"key {key!r} has an empty value", path, lineno)
+        parse, phrase = _KEYS[key]
         try:
-            return int(raw)
-        except ValueError:
-            self.fail(key, f"{key!r} must be an integer, got {raw!r}")
-
-    def float_value(self, key: str, default: float | None = None) -> float | None:
-        if key not in self.entries:
-            return default
-        raw = self._raw(key)
-        try:
-            return float(raw)
-        except ValueError:
-            self.fail(key, f"{key!r} must be a number, got {raw!r}")
-
-    def bool_value(self, key: str, default: bool) -> bool:
-        if key not in self.entries:
-            return default
-        raw = self._raw(key).lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        self.fail(key, f"{key!r} must be a boolean, got {raw!r}")
-
-    def float_list(self, key: str) -> tuple[float, ...] | None:
-        if key not in self.entries:
-            return None
-        raw = self._raw(key)
-        try:
-            return tuple(float(part.strip()) for part in raw.split(","))
-        except ValueError:
-            self.fail(key, f"{key!r} must be a comma-separated list of numbers, got {raw!r}")
-
-    def int_list(self, key: str) -> tuple[int, ...] | None:
-        if key not in self.entries:
-            return None
-        raw = self._raw(key)
-        try:
-            return tuple(int(part.strip()) for part in raw.split(","))
-        except ValueError:
-            self.fail(key, f"{key!r} must be a comma-separated list of integers, got {raw!r}")
-
-    def str_value(self, key: str, default: str | None = None) -> str | None:
-        if key not in self.entries:
-            return default
-        return self._raw(key)
+            values[key] = parse(value)
+        except (ValueError, OverflowError):
+            raise ConfigError(f"{key!r} must be {phrase}, got {value!r}", path, lineno) from None
+        lines[key] = lineno
+    return values, lines
 
 
 def load_config(path) -> SweepConfig:
@@ -188,123 +163,104 @@ def load_config(path) -> SweepConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
-    reader = _Reader(_parse_lines(text, str(path)), str(path))
+    values, lines = _parse_lines(text, str(path))
 
-    capacity = reader.int_value("capacity")
-    if capacity is None:
-        raise ConfigError("missing required key 'capacity'", str(path))
-    mix = reader.float_list("mix")
-    if mix is None:
-        raise ConfigError("missing required key 'mix'", str(path))
+    def fail(key: str, message: str):
+        raise ConfigError(message, str(path), lines.get(key))
+
+    for key in ("capacity", "mix"):
+        if key not in values:
+            fail(key, f"missing required key {key!r}")
+    capacity, mix = values["capacity"], values["mix"]
     for m in mix:
-        if not (math.isfinite(m) and m >= 0):
-            reader.fail("mix", f"mix proportions must be non-negative, got {m!r}")
+        if not 0 <= m <= 1:
+            fail("mix", f"mix proportions must be non-negative and at most 1, got {m!r}")
     if abs(math.fsum(mix) - 1.0) > 1e-9:
-        reader.fail("mix", f"mix proportions must sum to 1, got {math.fsum(mix)!r}")
+        fail("mix", f"mix proportions must sum to 1, got {math.fsum(mix)!r}")
 
-    service_rate = reader.float_value("service_rate", 1.0)
+    given = {k: values[k] for k in ("common_floor", "service_rate", "load_threshold") if k in values}
     try:
-        params = SystemParams(
-            capacity=capacity,
-            common_floor=reader.int_value("common_floor"),
-            service_rate=service_rate,
-            load_threshold=reader.float_value("load_threshold"),
-            class_count=len(mix),
-        )
+        params = SystemParams(capacity, class_count=len(mix), **given)
     except ValueError as exc:
-        raise ConfigError(str(exc), str(path)) from exc
+        # Each SystemParams message starts with the name of the field at fault.
+        fail(str(exc).split()[0], str(exc))
 
-    grid = reader.float_list("grid")
-    dotted = [k for k in ("grid.min", "grid.max", "grid.steps") if reader.has(k)]
-    if grid is not None and dotted:
-        reader.fail(dotted[0], "give either 'grid' or 'grid.min/max/steps', not both")
-    if grid is None and dotted:
-        missing = [k for k in ("grid.min", "grid.max", "grid.steps") if not reader.has(k)]
+    grid = values.get("grid")
+    ranged = [k for k in _GRID_RANGE if k in values]
+    if grid is not None and ranged:
+        fail(ranged[0], "give either 'grid' or 'grid.min/max/steps', not both")
+    if ranged:
+        missing = [k for k in _GRID_RANGE if k not in values]
         if missing:
-            reader.fail(dotted[0], f"incomplete grid range: missing {', '.join(missing)}")
-        lo = reader.float_value("grid.min")
-        hi = reader.float_value("grid.max")
-        steps = reader.int_value("grid.steps")
+            fail(ranged[0], f"incomplete grid range: missing {', '.join(missing)}")
+        lo, hi, steps = (values[k] for k in _GRID_RANGE)
         if steps < 2:
-            reader.fail("grid.steps", f"'grid.steps' must be at least 2, got {steps}")
+            fail("grid.steps", f"'grid.steps' must be at least 2, got {steps}")
         if not hi > lo:
-            reader.fail("grid.max", f"'grid.max' must exceed 'grid.min', got {lo}..{hi}")
+            fail("grid.max", f"'grid.max' must exceed 'grid.min', got {lo}..{hi}")
         grid = tuple(lo + k * (hi - lo) / (steps - 1) for k in range(steps))
     if grid is None:
         # Default regression grid: half to twice the capacity rate.
-        lo = 0.5 * capacity * service_rate
-        hi = 2.0 * capacity * service_rate
+        lo = 0.5 * capacity * params.service_rate
+        hi = 2.0 * capacity * params.service_rate
         grid = tuple(lo + k * (hi - lo) / 15 for k in range(16))
-    if not grid:
-        reader.fail("grid", "grid must not be empty")
+    # Failures of grid points are blamed on the key they derive from.
+    grid_key = next((k for k in ("grid", "grid.min", "service_rate") if k in lines), "capacity")
     for g in grid:
         if not (math.isfinite(g) and g > 0):
-            reader.fail("grid", f"grid points must be positive, got {g!r}")
+            fail(grid_key, f"grid points must be positive, got {g!r}")
+    # The sweep's offered load, the summed class rates over mu, peaks at the largest point.
+    try:
+        offered = math.fsum(m * max(grid) for m in mix) / params.service_rate
+    except OverflowError:  # the class rates sum beyond the float range
+        offered = math.inf
+    if not math.isfinite(offered):
+        fail(grid_key, f"grid point {max(grid)!r} gives an offered load beyond the float range")
 
-    scheme_labels = reader.str_value("schemes")
-    if scheme_labels is None:
-        schemes = (Scheme.DYNAMIC, Scheme.NON_PRIORITY)
-    else:
-        schemes = []
-        for part in scheme_labels.split(","):
-            label = part.strip().lower()
-            if label not in _SCHEME_LABELS:
-                reader.fail(
-                    "schemes",
-                    f"unknown scheme {label!r}; expected one of {sorted(_SCHEME_LABELS)}",
-                )
-            scheme = _SCHEME_LABELS[label]
-            if scheme in schemes:
-                reader.fail("schemes", f"scheme {label!r} listed twice")
-            schemes.append(scheme)
-        schemes = tuple(schemes)
+    schemes = []
+    for label in values.get("schemes", ("dynamic", "nonpriority")):
+        if label not in _SCHEME_LABELS:
+            fail("schemes", f"unknown scheme {label!r}; expected one of {sorted(_SCHEME_LABELS)}")
+        if _SCHEME_LABELS[label] in schemes:
+            fail("schemes", f"scheme {label!r} listed twice")
+        schemes.append(_SCHEME_LABELS[label])
 
     fixed_thresholds = None
-    limits = reader.int_list("fixed.thresholds")
+    limits = values.get("fixed.thresholds")
     if Scheme.FIXED_GUARD in schemes:
         if limits is None:
-            raise ConfigError(
-                "scheme 'fixed' needs 'fixed.thresholds'", str(path), reader.line("schemes")
-            )
+            fail("schemes", "scheme 'fixed' needs 'fixed.thresholds'")
         try:
             fixed_thresholds = ThresholdVector(limits)
         except ValueError as exc:
-            reader.fail("fixed.thresholds", str(exc))
-        if fixed_thresholds.capacity != capacity:
-            reader.fail(
-                "fixed.thresholds",
-                f"first threshold must equal the capacity {capacity}, got {fixed_thresholds.capacity}",
-            )
-        if fixed_thresholds.class_count != len(mix):
-            reader.fail(
-                "fixed.thresholds",
-                f"expected {len(mix)} thresholds to match the mix, got {fixed_thresholds.class_count}",
-            )
+            fail("fixed.thresholds", str(exc))
+        if limits[0] != capacity:
+            fail("fixed.thresholds", f"first threshold must equal the capacity {capacity}, got {limits[0]}")
+        if len(limits) != len(mix):
+            fail("fixed.thresholds", f"expected {len(mix)} thresholds to match the mix, got {len(limits)}")
     elif limits is not None:
-        reader.fail("fixed.thresholds", "'fixed.thresholds' given but scheme 'fixed' is not enabled")
+        fail("fixed.thresholds", "'fixed.thresholds' given but scheme 'fixed' is not enabled")
 
-    sim_arrivals = reader.int_value("sim.arrivals", 100_000)
-    if sim_arrivals < 1:
-        reader.fail("sim.arrivals", f"'sim.arrivals' must be positive, got {sim_arrivals}")
-    sim_seeds = reader.int_list("sim.seeds") or (1,)
-    for k, seed in enumerate(sim_seeds):
-        if seed < 0:
-            reader.fail("sim.seeds", f"'sim.seeds' must be non-negative, got {seed}")
-        if seed in sim_seeds[:k]:
-            reader.fail("sim.seeds", f"seed {seed} listed twice in 'sim.seeds'")
-    sim_smoothing = reader.float_value("sim.smoothing")
-    if sim_smoothing is not None and not 0 < sim_smoothing <= 1:
-        reader.fail("sim.smoothing", f"'sim.smoothing' must be in (0, 1], got {sim_smoothing}")
-
-    return SweepConfig(
+    config = SweepConfig(
         params=params,
-        mix=tuple(mix),
-        grid=tuple(grid),
-        schemes=schemes,
+        mix=mix,
+        grid=grid,
+        schemes=tuple(schemes),
         fixed_thresholds=fixed_thresholds,
-        sim_enabled=reader.bool_value("sim.enabled", False),
-        sim_arrivals=sim_arrivals,
-        sim_seeds=sim_seeds,
-        sim_smoothing=sim_smoothing,
-        out_path=reader.str_value("out"),
+        out_path=values.get("out"),
+        **{key.replace(".", "_"): values[key] for key in _SIM_KEYS if key in values},
     )
+    if config.sim_arrivals < 1:
+        fail("sim.arrivals", f"'sim.arrivals' must be positive, got {config.sim_arrivals}")
+    for k, seed in enumerate(config.sim_seeds):
+        if seed < 0:
+            fail("sim.seeds", f"'sim.seeds' must be non-negative, got {seed}")
+        if seed in config.sim_seeds[:k]:
+            fail("sim.seeds", f"seed {seed} listed twice in 'sim.seeds'")
+    if config.sim_smoothing is not None and not 0 < config.sim_smoothing <= 1:
+        fail("sim.smoothing", f"'sim.smoothing' must be in (0, 1], got {config.sim_smoothing}")
+    # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it
+    # on after loading. The simulation horizon peaks at the smallest point.
+    if not math.isfinite(config.sim_arrivals / (0.9 * min(grid))):
+        fail(grid_key, f"grid point {min(grid)!r} gives 'sim.arrivals' an infinite simulation horizon")
+    return config

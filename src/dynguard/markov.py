@@ -110,16 +110,18 @@ def build_chain(thresholds: ThresholdVector, rates, service_rate: float) -> Birt
 def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
     """Stationary distribution by the ratio recursion.
 
-    Successive weights satisfy w_i = w_{i-1} * birth_{i-1} / (i * mu); the
+    Successive weights satisfy w_i = w_{i-1} * (birth_{i-1} / (i * mu)); the
     weights are rescaled whenever they grow huge, so no factorial or power
     is ever materialized and the recursion is stable for any capacity.
+    Dividing first keeps the product finite at huge rates, where
+    weight * birth would overflow before the division.
     """
     n = chain.capacity
     mu = chain.service_rate
     w = [0.0] * (n + 1)
     w[0] = 1.0
     for i in range(1, n + 1):
-        w[i] = w[i - 1] * chain.birth_rates[i - 1] / (i * mu)
+        w[i] = w[i - 1] * (chain.birth_rates[i - 1] / (i * mu))
         if w[i] > _RESCALE_LIMIT:
             scale = 1.0 / w[i]
             for j in range(i + 1):

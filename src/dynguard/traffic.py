@@ -201,11 +201,9 @@ def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
     lam_total = math.fsum(vec)
     if lam_total == 0.0:
         raise ZeroTotalRateError("availability thresholds undefined at zero total rate")
-    quotas = tuple(
-        reservation_quota(vec, params, m) for m in range(1, params.class_count)
-    )
-    limits = _threshold_limits(vec, lam_total, params.capacity, params.reservable_pool)
-    return ThresholdVector(limits, quotas)
+    pool = params.reservable_pool
+    quotas = tuple(lam / lam_total * pool for lam in vec[:-1])
+    return ThresholdVector(_threshold_limits(vec, lam_total, params.capacity, pool), quotas)
 
 
 @dataclass(frozen=True)
