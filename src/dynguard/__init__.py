@@ -38,7 +38,6 @@ from .traffic import (
     as_rate_vector,
     availability_thresholds,
     classify_load,
-    reservation_quota,
     total_arrival_rate,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "load_config",
     "nonpriority_report",
     "quasi_stationary_curve",
-    "reservation_quota",
     "run_simulation",
     "run_sweep",
     "steady_state",

@@ -128,6 +128,10 @@ class SweepConfig:
     sim_smoothing: float | None = None
     out_path: str | None = None
 
+    def horizon(self, lam_total: float) -> float:
+        """Simulation horizon whose post-warmup window sees about ``sim_arrivals`` calls."""
+        return self.sim_arrivals / (0.9 * lam_total)
+
 
 def _parse_lines(text: str, path: str) -> tuple[dict[str, object], dict[str, int]]:
     """The parsed value and the line number of every key set in ``text``."""
@@ -261,6 +265,6 @@ def load_config(path) -> SweepConfig:
         fail("sim.smoothing", f"'sim.smoothing' must be in (0, 1], got {config.sim_smoothing}")
     # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it
     # on after loading. The simulation horizon peaks at the smallest point.
-    if not math.isfinite(config.sim_arrivals / (0.9 * min(grid))):
+    if not math.isfinite(config.horizon(min(grid))):
         fail(grid_key, f"grid point {min(grid)!r} gives 'sim.arrivals' an infinite simulation horizon")
     return config

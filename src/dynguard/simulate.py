@@ -27,10 +27,10 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .traffic import (
-    MIN_GAP,
     RateVector,
     SystemParams,
     ThresholdVector,
+    _observe_gap,
     _threshold_limits,
     as_rate_vector,
 )
@@ -86,7 +86,7 @@ class Scenario:
                     raise ValueError(f"first schedule segment must start at 0, got {start}")
             elif start <= prev_start:
                 raise ValueError("schedule segment starts must be strictly increasing")
-            if start >= self.horizon:
+            if not start < self.horizon:
                 raise ValueError(f"segment start {start} is not inside [0, horizon)")
             normalized.append((start, as_rate_vector(rates, self.params.class_count)))
             prev_start = start
@@ -293,7 +293,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
     else:
         limits = shared
         mode_high = False
-    # DYNAMIC estimator state (see RateEstimator): each class's last arrival
+    # DYNAMIC estimator state for _observe_gap: each class's last arrival
     # time, its 1/gap estimate, and how many classes have no gap yet.
     last_seen: list[float | None] = [None] * m_count
     estimates: list[float | None] = [None] * m_count
@@ -362,17 +362,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
             # Arrival of class idx+1 inside segment seg_k.
             if dynamic:
-                prev = last_seen[idx]
-                last_seen[idx] = t
-                if prev is not None:
-                    gap = t - prev
-                    inst = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
-                    old = estimates[idx]
-                    if old is None:
-                        missing -= 1
-                    elif smoothing is not None:
-                        inst = smoothing * inst + (1.0 - smoothing) * old
-                    estimates[idx] = inst
+                if _observe_gap(last_seen, estimates, idx, t, smoothing):
+                    missing -= 1
                 # Until every class has two arrivals the gap estimates are
                 # undefined; the scheme stays on the shared pool.
                 if not missing:

@@ -68,8 +68,6 @@ def _simulate_point(
     """Pooled per-class blocked/offered counts and mean utilization over all seeds."""
     params = config.params
     rates = tuple(m * lam_total for m in config.mix)
-    # Horizon sized so the post-warmup window sees about sim_arrivals calls.
-    horizon = config.sim_arrivals / (0.9 * lam_total)
     offered = [0] * params.class_count
     blocked = [0] * params.class_count
     utils = []
@@ -77,7 +75,7 @@ def _simulate_point(
         scenario = Scenario(
             params=params,
             schedule=((0.0, rates),),
-            horizon=horizon,
+            horizon=config.horizon(lam_total),
             seed=seed,
             scheme=scheme,
             fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,

@@ -154,24 +154,6 @@ def classify_load(rates, params: SystemParams) -> LoadCondition:
     return LoadCondition.LIGHT
 
 
-def reservation_quota(rates, params: SystemParams, cls: int) -> float:
-    """Fractional channels reserved on behalf of class ``cls`` (1-based).
-
-    The quota is the class's share of the total rate applied to the
-    reservable pool. Only classes 1..M-1 reserve; the lowest class never
-    does. Requires a positive total rate.
-    """
-    vec = as_rate_vector(rates, params.class_count)
-    if not 1 <= cls <= params.class_count - 1:
-        raise ValueError(
-            f"quota is defined for classes 1..{params.class_count - 1}, got {cls}"
-        )
-    lam_total = math.fsum(vec)
-    if lam_total == 0.0:
-        raise ZeroTotalRateError("reservation quota undefined at zero total rate; treat as light load")
-    return vec[cls - 1] / lam_total * params.reservable_pool
-
-
 def _threshold_limits(
     vec: RateVector, lam_total: float, capacity: int, pool: int
 ) -> tuple[int, ...]:
@@ -206,6 +188,29 @@ def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
     return ThresholdVector(_threshold_limits(vec, lam_total, params.capacity, pool), quotas)
 
 
+def _observe_gap(
+    last_seen: list, estimates: list, idx: int, t: float, smoothing: float | None
+) -> bool:
+    """Record an arrival of class ``idx + 1`` at ``t`` in the per-class lists.
+
+    Both lists are updated in place; the estimate changes from the second
+    arrival on. Returns True when this arrival gives the class its first
+    estimate. :class:`RateEstimator` and the simulator's event loop both
+    call this, so the gap clamp and the smoothing blend live only here.
+    """
+    prev = last_seen[idx]
+    last_seen[idx] = t
+    if prev is None:
+        return False
+    gap = t - prev
+    inst = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
+    old = estimates[idx]
+    if old is not None and smoothing is not None:
+        inst = smoothing * inst + (1.0 - smoothing) * old
+    estimates[idx] = inst
+    return old is None
+
+
 @dataclass(frozen=True)
 class RateEstimator:
     """Online per-class rate estimates from the last two arrivals.
@@ -215,7 +220,7 @@ class RateEstimator:
     timestamps colliding) are clamped to ``MIN_GAP``. With ``smoothing`` set
     to a factor s in (0, 1], an estimate is an exponentially weighted average
     of the instantaneous rates, not of the gaps: new = s*(1/gap) + (1 - s)*old.
-    The simulator's event loop keeps the same arithmetic on plain lists.
+    The simulator's event loop calls the same update function on plain lists.
     """
 
     priors: tuple[float, ...]
@@ -247,25 +252,20 @@ class RateEstimator:
         """Record an arrival of 1-based class ``cls``; returns the updated estimator."""
         if not 1 <= cls <= self.class_count:
             raise ValueError(f"class must be in 1..{self.class_count}, got {cls}")
-        idx = cls - 1
-        prev = self.last_seen[idx]
+        if not math.isfinite(timestamp):
+            raise ValueError(f"arrival timestamps must be finite, got {timestamp}")
+        prev = self.last_seen[cls - 1]
         if prev is not None and timestamp < prev:
             raise ValueError(
                 f"arrival timestamps must be non-decreasing per class: {timestamp} < {prev}"
             )
-        estimates = self.estimates
-        if prev is not None:
-            gap = max(timestamp - prev, MIN_GAP)
-            inst = 1.0 / gap
-            old = estimates[idx]
-            if self.smoothing is not None and old is not None:
-                inst = self.smoothing * inst + (1.0 - self.smoothing) * old
-            estimates = estimates[:idx] + (inst,) + estimates[idx + 1 :]
-        last_seen = self.last_seen[:idx] + (timestamp,) + self.last_seen[idx + 1 :]
+        last_seen = list(self.last_seen)
+        estimates = list(self.estimates)
+        _observe_gap(last_seen, estimates, cls - 1, timestamp, self.smoothing)
         # The state stays consistent, so the successor skips __post_init__
         # and its re-validation of the unchanged priors.
         successor = object.__new__(type(self))
-        vars(successor).update(vars(self), last_seen=last_seen, estimates=estimates)
+        vars(successor).update(vars(self), last_seen=tuple(last_seen), estimates=tuple(estimates))
         return successor
 
     def rate(self, cls: int) -> float:

@@ -101,6 +101,25 @@ class TestSteadyState:
             b = steady_state_oracle(chain).probabilities
             assert max(abs(x - y) for x, y in zip(a, b)) < 1e-10
 
+    def test_rate_scale_leaves_distribution_unchanged(self):
+        # Scaling every birth rate and mu by s keeps each ratio birth/(i*mu),
+        # so the distribution stays put. At s up to 1e250 a weight near the
+        # rescale limit times a birth rate overflows, so this pins the
+        # divide-first order of the recursion.
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            n = int(rng.integers(1, 401))
+            m = int(rng.integers(1, 5))
+            limits = tuple(sorted((int(rng.integers(0, n + 1)) for _ in range(m - 1)), reverse=True))
+            load = float(rng.uniform(0.1, 2.0 * n))
+            rates = tuple(float(x) * load for x in rng.dirichlet(np.ones(m)))
+            chain = build_chain(ThresholdVector((n,) + limits), rates, 1.0)
+            s = float(10.0 ** rng.uniform(-250, 250))
+            scaled = steady_state(BirthDeathChain(tuple(b * s for b in chain.birth_rates), s))
+            assert all(math.isfinite(p) for p in scaled.probabilities)
+            a = steady_state(chain).probabilities
+            assert max(abs(x - y) for x, y in zip(a, scaled.probabilities)) < 1e-9
+
     def test_rescaling_keeps_large_chains_finite(self):
         # weights along the way exceed any double if materialized naively
         tv = ThresholdVector((600, 450, 300))

@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 from dynguard import (
+    LoadCondition,
+    RateEstimator,
     Scenario,
     Scheme,
     SystemParams,
     ThresholdVector,
+    availability_thresholds,
     blocking_stderr,
+    classify_load,
     erlang_b,
     run_simulation,
 )
@@ -92,6 +96,38 @@ class TestAdmissionBoundary:
         seen = self.decisions(Scheme.FIXED_GUARD, 12)
         assert {(2, 3, False), (2, 2, True), (3, 2, False), (3, 1, True)} <= seen
 
+    def test_dynamic_replays_the_library_estimator(self):
+        # N=400, C=200 and no departures. The HIGH boundary, 400/0.925 = 432,
+        # sits near the offered 480, so the 1/gap noise flips the mode. Each
+        # traced admission must match RateEstimator plus the public threshold
+        # functions replayed over the same arrivals.
+        params = SystemParams(400, 200, service_rate=1e-9, load_threshold=0.925)
+        shared = (params.capacity,) * 3
+        modes = set()
+        for smoothing in (None, 0.1):
+            for seed in (1, 2, 3):
+                rep = run_simulation(
+                    Scenario(
+                        params=params,
+                        schedule=((0.0, (192.0, 144.0, 144.0)),),
+                        horizon=3.0,
+                        seed=seed,
+                        smoothing=smoothing,
+                        record_trace=True,
+                    )
+                )
+                assert rep.event_count == len(rep.trace)  # no departures
+                est = RateEstimator(priors=(1.0, 1.0, 1.0), smoothing=smoothing)
+                occupied = 0
+                for t, cls, admitted in rep.trace:
+                    est = est.observe(cls, t)
+                    high = est.ready and classify_load(est.rates(), params) is LoadCondition.HIGH
+                    limits = availability_thresholds(est.rates(), params).limits if high else shared
+                    assert admitted == (occupied < limits[cls - 1])
+                    modes.add(high)
+                    occupied += admitted
+        assert modes == {False, True}
+
 
 class TestScenarioValidation:
     def test_schedule_must_start_at_zero(self):
@@ -105,10 +141,13 @@ class TestScenarioValidation:
             )
 
     def test_segment_must_lie_inside_horizon(self):
-        with pytest.raises(ValueError):
-            small_scenario(
-                schedule=((0.0, (1.0, 1.0, 1.0)), (600.0, (2.0, 1.0, 1.0)))
-            )
+        # Only constructed, never run: a run whose schedule let a NaN start
+        # through would not end.
+        for start in (600.0, math.nan):
+            with pytest.raises(ValueError):
+                small_scenario(
+                    schedule=((0.0, (1.0, 1.0, 1.0)), (start, (2.0, 1.0, 1.0)))
+                )
 
     def test_rates_must_match_class_count(self):
         with pytest.raises(ValueError):

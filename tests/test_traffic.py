@@ -14,7 +14,6 @@ from dynguard import (
     as_rate_vector,
     availability_thresholds,
     classify_load,
-    reservation_quota,
     total_arrival_rate,
 )
 
@@ -101,30 +100,6 @@ class TestClassifyLoad:
         assert classify_load((6.5, 3.0, 2.9), p) is LoadCondition.LIGHT
 
 
-class TestReservationQuota:
-    def test_top_class(self):
-        p = SystemParams(10, 5)
-        assert reservation_quota((2, 1, 1), p, 1) == pytest.approx(2.5)
-
-    def test_middle_class(self):
-        p = SystemParams(10, 5)
-        assert reservation_quota((2, 1, 1), p, 2) == pytest.approx(1.25)
-
-    def test_no_reservable_pool(self):
-        p = SystemParams(10, 10)
-        assert reservation_quota((2, 1, 1), p, 1) == 0.0
-
-    def test_zero_total_rate(self):
-        p = SystemParams(10, 5)
-        with pytest.raises(ZeroTotalRateError):
-            reservation_quota((0, 0, 0), p, 1)
-
-    def test_lowest_class_never_reserves(self):
-        p = SystemParams(10, 5)
-        with pytest.raises(ValueError):
-            reservation_quota((2, 1, 1), p, 3)
-
-
 class TestAvailabilityThresholds:
     def test_floor_rule(self):
         p = SystemParams(10, 5)
@@ -138,7 +113,9 @@ class TestAvailabilityThresholds:
 
     def test_floor_equal_capacity_disables_reservation(self):
         p = SystemParams(10, 10)
-        assert availability_thresholds((2, 1, 1), p).limits == (10, 10, 10)
+        tv = availability_thresholds((2, 1, 1), p)
+        assert tv.limits == (10, 10, 10)
+        assert tv.quotas == (0.0, 0.0)
 
     def test_zero_total_rate(self):
         p = SystemParams(10, 5)
@@ -230,6 +207,12 @@ class TestRateEstimator:
         est = RateEstimator(priors=(1.0,)).observe(1, 3.0)
         with pytest.raises(ValueError):
             est.observe(1, 2.0)
+
+    def test_non_finite_timestamp_rejected(self):
+        est = RateEstimator(priors=(1.0,)).observe(1, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                est.observe(1, bad)
 
     def test_observe_is_functional(self):
         est = RateEstimator(priors=(1.0,))
