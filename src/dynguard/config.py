@@ -27,8 +27,9 @@ Recognized keys::
     out              = results.csv
 
 When the grid is omitted it defaults to 16 evenly spaced total rates from
-half the capacity rate to twice the capacity rate. A config that loads also
-has a finite offered load and a finite simulation horizon at every grid point.
+half the capacity rate to twice the capacity rate. A config that loads has
+grid points that differ as the CSV prints them, and a finite offered load
+and a finite simulation horizon at each.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ class ConfigError(ValueError):
 
 
 _SCHEME_LABELS = {s.value: s for s in Scheme}
+# How the sweep CSV prints reals: 9 significant digits.
+_CSV_REAL = ".9g"
 
 
 def _finite(value):
@@ -186,8 +189,10 @@ def load_config(path) -> SweepConfig:
     try:
         params = SystemParams(capacity, class_count=len(mix), **given)
     except ValueError as exc:
-        # Each SystemParams message starts with the name of the field at fault.
-        fail(str(exc).split()[0], str(exc))
+        # Each SystemParams message starts with the name of the field at fault;
+        # a defaulted load_threshold is derived from service_rate.
+        key = str(exc).split()[0]
+        fail(key if key in lines else "service_rate", str(exc))
 
     grid = values.get("grid")
     ranged = [k for k in _GRID_RANGE if k in values]
@@ -210,9 +215,14 @@ def load_config(path) -> SweepConfig:
         grid = tuple(lo + k * (hi - lo) / 15 for k in range(16))
     # Failures of grid points are blamed on the key they derive from.
     grid_key = next((k for k in ("grid", "grid.min", "service_rate") if k in lines), "capacity")
+    printed = set()
     for g in grid:
         if not (math.isfinite(g) and g > 0):
             fail(grid_key, f"grid points must be positive, got {g!r}")
+        shown = format(g, _CSV_REAL)
+        if shown in printed:
+            fail(grid_key, f"grid points must differ as the CSV prints them, but two read {shown}")
+        printed.add(shown)
     # The sweep's offered load, the summed class rates over mu, peaks at the largest point.
     try:
         offered = math.fsum(m * max(grid) for m in mix) / params.service_rate

@@ -14,7 +14,9 @@ one more, so changing one class's traffic never perturbs the others.
 Arrival times never depend on admission decisions, so each class's are
 computed ahead of the loop in blocks and merged in bounded time windows;
 only departures go through the event heap. Simultaneous events process
-departures first, then arrivals in class order.
+departures first, then arrivals in class order. The merged arrivals carry
+no segment: one cursor follows the schedule, an arrival counts toward the
+segment whose [start, end) holds its time, and run totals sum the segments.
 """
 
 from __future__ import annotations
@@ -175,13 +177,14 @@ def _exponentials(rng: np.random.Generator):
 
 
 def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
-    """One class's arrival times as ``(times, segment, known)`` chunks, in order.
+    """One class's arrival times as ``(times, known)`` chunks, in order.
 
     ``scales[k]`` is the class's mean gap in segment k (None while silent)
     and ``seg_ends[k]`` the segment's end. Inside a segment each draw x
     gives the next arrival t + x*scale; the first one at or past the
     segment end is discarded and the walk restarts at that end, which is
-    exact for piecewise-constant Poisson input (memorylessness). Silent
+    exact for piecewise-constant Poisson input (memorylessness). So every
+    time lies in [start, end) of the segment that drew it. Silent
     segments consume no draws. Draws come in blocks of ``_DRAW_BLOCK``,
     fetched only when needed, and a block's times are one cumulative sum:
     ``cumsum`` is a sequential ``add.accumulate``, so every time is bitwise
@@ -192,7 +195,7 @@ def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
     t = 0.0
     block = np.empty(0)
     pos = 0
-    for k, (scale, end) in enumerate(zip(scales, seg_ends)):
+    for scale, end in zip(scales, seg_ends):
         while scale is not None:
             if pos == len(block):
                 block = rng.standard_exponential(_DRAW_BLOCK)
@@ -203,9 +206,9 @@ def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
             n = int(np.searchsorted(acc, end, side="left"))
             if n < len(acc):
                 pos += n + 1  # the overshoot draw is consumed
-                yield acc[:n], k, end
+                yield acc[:n], end
                 break
-            yield acc, k, acc[-1]
+            yield acc, acc[-1]
             pos = len(block)
             t = acc[-1]
         t = end
@@ -215,38 +218,33 @@ def _arrival_windows(streams, horizon: float):
     """Merge per-class chunk streams into time-ordered arrival windows.
 
     Each window is every pending arrival up to the earliest ``known`` time
-    among the classes' pending chunks, as plain ``(times, classes,
-    segments)`` lists sorted by time, ties in class order; so about one
-    chunk per class is pending at once. The last window ends with an
-    end-of-run marker at the horizon with class and segment -1.
+    among the classes' pending chunks, as plain ``(times, classes)`` lists
+    sorted by time, ties in class order; so about one chunk per class is
+    pending at once. The last window ends with an end-of-run marker at the
+    horizon with class -1.
     """
     pending = [next(stream, None) for stream in streams]
     while any(p is not None for p in pending):
-        w = min(p[2] for p in pending if p is not None)
-        times, classes, segs = [], [], []
+        w = min(p[1] for p in pending if p is not None)
+        times, classes = [], []
         for idx, p in enumerate(pending):
             if p is None:
                 continue
-            chunk, k, known = p
+            chunk, known = p
             n = int(np.searchsorted(chunk, w, side="right"))
             if n == len(chunk) and known <= w:
                 pending[idx] = next(streams[idx], None)
             elif n:
-                pending[idx] = (chunk[n:], k, known)
+                pending[idx] = (chunk[n:], known)
             if n:
                 times.append(chunk[:n])
                 classes.append(np.full(n, idx))
-                segs.append(np.full(n, k))
         if not times:
             continue
         times = np.concatenate(times)
         order = np.argsort(times, kind="stable")
-        yield (
-            times[order].tolist(),
-            np.concatenate(classes)[order].tolist(),
-            np.concatenate(segs)[order].tolist(),
-        )
-    yield [horizon], [-1], [-1]
+        yield times[order].tolist(), np.concatenate(classes)[order].tolist()
+    yield [horizon], [-1]
 
 
 def run_simulation(scenario: Scenario) -> SimReport:
@@ -299,8 +297,6 @@ def run_simulation(scenario: Scenario) -> SimReport:
     estimates: list[float | None] = [None] * m_count
     missing = m_count
 
-    offered = [0] * m_count
-    blocked = [0] * m_count
     seg_offered = [[0] * m_count for _ in seg_ends]
     seg_blocked = [[0] * m_count for _ in seg_ends]
     seg_busy = [0.0] * len(seg_ends)
@@ -310,15 +306,16 @@ def run_simulation(scenario: Scenario) -> SimReport:
     occupied = 0
     admitted_total = 0
     departed_total = 0
-    event_count = 0
+    arrived = 0  # window entries, the end marker included
     trace: list[tuple[float, int, bool]] | None = [] if scenario.record_trace else None
 
     prev_t = 0.0
-    busy_seg = 0
-    busy_end = seg_ends[0]
+    # Segment of the latest arrival; every later event time is at or past its start.
+    seg = 0
 
-    for times, classes, segs in arrivals:
-        for na, idx, seg_k in zip(times, classes, segs):
+    for times, classes in arrivals:
+        arrived += len(times)
+        for na, idx in zip(times, classes):
             # Departures at or before the next arrival go first; the end
             # marker sits at the horizon, so departures there still count.
             while True:
@@ -334,33 +331,31 @@ def run_simulation(scenario: Scenario) -> SimReport:
                         high_time += span
                     else:
                         light_time += span
-                    if t <= busy_end:
-                        # Inside the current segment the walk below would
-                        # add this same product.
-                        seg_busy[busy_seg] += occupied * span
+                    if t <= seg_ends[seg]:
+                        # lo lies in segment seg too, so the walk below
+                        # would add this same product.
+                        seg_busy[seg] += occupied * span
                     else:
                         x = lo
-                        k = busy_seg
+                        k = seg
                         while x < t:
                             while seg_ends[k] <= x:
                                 k += 1
                             upto = t if t < seg_ends[k] else seg_ends[k]
                             seg_busy[k] += occupied * (upto - x)
                             x = upto
-                        busy_seg = k
-                        busy_end = seg_ends[k]
                 prev_t = t
                 if not departing:
                     break
-                event_count += 1
                 occupied -= 1
                 departed_total += 1
                 assert occupied >= 0
             if idx < 0:  # end-of-run marker
                 break
-            event_count += 1
+            while seg_ends[seg] <= t:
+                seg += 1
 
-            # Arrival of class idx+1 inside segment seg_k.
+            # Arrival of class idx+1 inside segment seg.
             if dynamic:
                 if _observe_gap(last_seen, estimates, idx, t, smoothing):
                     missing -= 1
@@ -378,16 +373,14 @@ def run_simulation(scenario: Scenario) -> SimReport:
             admitted = occupied < limits[idx]
             measured = t >= warmup
             if measured:
-                offered[idx] += 1
-                seg_offered[seg_k][idx] += 1
+                seg_offered[seg][idx] += 1
             if admitted:
                 occupied += 1
                 admitted_total += 1
                 assert occupied <= capacity
                 heappush(deps, t + next(holding_draws) * holding_scale)
             elif measured:
-                blocked[idx] += 1
-                seg_blocked[seg_k][idx] += 1
+                seg_blocked[seg][idx] += 1
             if trace is not None:
                 trace.append((t, idx + 1, admitted))
 
@@ -396,9 +389,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
     measured_time = horizon - warmup
     seg_stats = []
     for k, (start, end) in enumerate(zip(starts, seg_ends)):
-        win_lo = max(start, warmup)
-        win_hi = min(end, horizon)
-        win = max(0.0, win_hi - win_lo)
+        win = max(0.0, end - max(start, warmup))
         seg_stats.append(
             SegmentStats(
                 start=start,
@@ -409,20 +400,18 @@ def run_simulation(scenario: Scenario) -> SimReport:
                 measured_time=win,
             )
         )
+    offered = tuple(map(sum, zip(*seg_offered)))
+    blocked = tuple(map(sum, zip(*seg_blocked)))
 
     return SimReport(
-        offered=tuple(offered),
-        blocked=tuple(blocked),
-        blocking=tuple(
-            b / o if o > 0 else None for b, o in zip(blocked, offered)
-        ),
-        blocking_stderr=tuple(
-            blocking_stderr(b, o) for b, o in zip(blocked, offered)
-        ),
+        offered=offered,
+        blocked=blocked,
+        blocking=tuple(b / o if o > 0 else None for b, o in zip(blocked, offered)),
+        blocking_stderr=tuple(blocking_stderr(b, o) for b, o in zip(blocked, offered)),
         utilization=busy_time / (capacity * measured_time),
         light_time_fraction=light_time / measured_time,
         high_time_fraction=high_time / measured_time,
-        event_count=event_count,
+        event_count=arrived - 1 + departed_total,
         segments=tuple(seg_stats),
         trace=tuple(trace) if trace is not None else None,
     )

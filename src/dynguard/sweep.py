@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import SweepConfig
+from .config import _CSV_REAL, SweepConfig
 from .markov import (
     BlockingReport,
     blocking_report,
@@ -160,7 +160,7 @@ def _field(value) -> str:
         return value
     if isinstance(value, int):
         return str(value)
-    return format(value, ".9g")
+    return format(value, _CSV_REAL)
 
 
 def emit_csv(rows, path) -> None:

@@ -68,12 +68,12 @@ class SystemParams:
             raise ValueError(
                 f"common_floor must be an integer in [0, {self.capacity}], got {self.common_floor!r}"
             )
-        if not (isinstance(self.service_rate, (int, float)) and self.service_rate > 0):
-            raise ValueError(f"service_rate must be positive, got {self.service_rate!r}")
+        if not (isinstance(self.service_rate, (int, float)) and 0 < self.service_rate < math.inf):
+            raise ValueError(f"service_rate must be positive and finite, got {self.service_rate!r}")
         if self.load_threshold is None:
             object.__setattr__(self, "load_threshold", 0.925 / self.service_rate)
-        if not (isinstance(self.load_threshold, (int, float)) and self.load_threshold > 0):
-            raise ValueError(f"load_threshold must be positive, got {self.load_threshold!r}")
+        if not (isinstance(self.load_threshold, (int, float)) and 0 < self.load_threshold < math.inf):
+            raise ValueError(f"load_threshold must be positive and finite, got {self.load_threshold!r}")
         if not isinstance(self.class_count, int) or self.class_count < 1:
             raise ValueError(f"class_count must be a positive integer, got {self.class_count!r}")
 

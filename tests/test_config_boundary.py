@@ -26,8 +26,16 @@ def write(tmp_path, text):
         # the default grid derives from service_rate and overflows
         ("capacity = 10\nmix = 1.0\nservice_rate = 1e308\n", 3),
         ("capacity = 10\nmix = 1.0\ngrid.min = -5\ngrid.max = 5\ngrid.steps = 3\n", 3),
+        # the default load_threshold 0.925 / service_rate overflows
+        ("capacity = 10\nmix = 1.0\ngrid = 1e-300\nservice_rate = 5e-324\n", 4),
+        # grid points that print the same in the CSV's lambda_total
+        ("capacity = 10\nmix = 1.0\ngrid = 8, 8\n", 3),
+        ("capacity = 10\nmix = 1.0\ngrid.min = 8\ngrid.max = 8.000000001\ngrid.steps = 3\n", 3),
     ],
-    ids=["capacity", "floor", "mu-negative", "mu-nan", "threshold", "mu-inf", "mu-huge", "range"],
+    ids=[
+        "capacity", "floor", "mu-negative", "mu-nan", "threshold", "mu-inf", "mu-huge", "range",
+        "mu-subnormal", "grid-repeat", "range-repeat",
+    ],
 )
 def test_load_time_errors_name_the_line(tmp_path, text, line):
     with pytest.raises(ConfigError, match=rf"sweep\.conf:{line}: "):

@@ -341,6 +341,27 @@ class TestDynamicScheme:
         assert second.offered[2] > second.offered[0]
         assert 0.0 <= second.utilization <= 1.0
 
+    @pytest.mark.parametrize("warmup", [5.0, 40.0])  # 40 is a segment start
+    def test_segment_counts_recount_from_the_trace(self, warmup):
+        rep = run_simulation(
+            Scenario(
+                params=SystemParams(10, 5),
+                schedule=(
+                    (0.0, (8.0, 6.0, 5.0)),
+                    (30.0, (0.0, 0.0, 0.0)),
+                    (40.0, (0.0, 10.0, 4.0)),
+                    (70.0, (12.0, 0.0, 9.0)),
+                ),
+                horizon=100.0, seed=12, warmup=warmup, record_trace=True,
+            )
+        )
+        assert sum(rep.blocked) > 0
+        for seg in rep.segments:
+            # An arrival counts toward the segment whose [start, end) holds it.
+            calls = [(c, ok) for t, c, ok in rep.trace if seg.start <= t < seg.end and t >= warmup]
+            assert seg.offered == tuple(sum(c == m for c, _ in calls) for m in (1, 2, 3))
+            assert seg.blocked == tuple(sum(c == m and not ok for c, ok in calls) for m in (1, 2, 3))
+
 
 class TestEstimatorBias:
     """The paper's 1/gap estimator over-estimates every class's rate.
@@ -403,8 +424,8 @@ class TestArrivalStreams:
         expected = per_draw_walk(np.random.default_rng(5), scales, seg_ends)
         rng = np.random.default_rng(5)
         chunks = list(_arrival_chunks(rng, scales, seg_ends))
-        assert [(t, k) for times, k, _ in chunks for t in times.tolist()] == expected
-        for (times, _, known), (later, _, _) in zip(chunks, chunks[1:]):
+        assert [t for times, _ in chunks for t in times.tolist()] == [t for t, _ in expected]
+        for (times, known), (later, _) in zip(chunks, chunks[1:]):
             assert (times <= known).all() and (later >= known).all()
         reference_rng = np.random.default_rng(5)
         per_draw_walk(reference_rng, scales, seg_ends)
@@ -421,16 +442,16 @@ class TestArrivalStreams:
 
     def test_windows_merge_in_time_then_class_order(self):
         streams = [
-            iter([(np.array([1.0, 2.0]), 0, 4.0), (np.array([4.5]), 1, 9.0)]),
+            iter([(np.array([1.0, 2.0]), 4.0), (np.array([4.5]), 9.0)]),
             iter([]),
-            iter([(np.array([1.0, 1.5, 2.5]), 0, 2.5), (np.array([]), 0, 4.0),
-                  (np.array([4.5, 6.0]), 1, 9.0)]),
+            iter([(np.array([1.0, 1.5, 2.5]), 2.5), (np.array([]), 4.0),
+                  (np.array([4.5, 6.0]), 9.0)]),
         ]
         windows = list(_arrival_windows(streams, 9.0))
         assert windows == [
-            ([1.0, 1.0, 1.5, 2.0, 2.5], [0, 2, 2, 0, 2], [0, 0, 0, 0, 0]),
-            ([4.5, 4.5, 6.0], [0, 2, 2], [1, 1, 1]),
-            ([9.0], [-1], [-1]),
+            ([1.0, 1.0, 1.5, 2.0, 2.5], [0, 2, 2, 0, 2]),
+            ([4.5, 4.5, 6.0], [0, 2, 2]),
+            ([9.0], [-1]),
         ]
 
 

@@ -56,6 +56,9 @@ class TestSystemParams:
             dict(capacity=10, common_floor=-1),
             dict(capacity=10, service_rate=0.0),
             dict(capacity=10, load_threshold=-1.0),
+            dict(capacity=10, service_rate=math.inf),
+            dict(capacity=10, load_threshold=math.inf),
+            dict(capacity=10, service_rate=5e-324),  # default load_threshold overflows
             dict(capacity=10, class_count=0),
         ],
     )
