@@ -44,12 +44,13 @@ class BirthDeathChain:
     service_rate: float
 
     def __post_init__(self) -> None:
-        if self.service_rate <= 0:
-            raise ValueError(f"service_rate must be positive, got {self.service_rate}")
-        for b in self.birth_rates:
-            if not math.isfinite(b) or b < 0:
-                raise ValueError(f"birth rates must be finite and non-negative, got {b}")
-        if any(a < b for a, b in zip(self.birth_rates, self.birth_rates[1:])):
+        if not 0 < self.service_rate < math.inf:
+            raise ValueError(f"service_rate must be positive and finite, got {self.service_rate}")
+        b = np.asarray(self.birth_rates, dtype=float)
+        bad = np.flatnonzero(~((b >= 0) & (b < math.inf)))
+        if bad.size:
+            raise ValueError(f"birth rates must be finite and non-negative, got {self.birth_rates[bad[0]]}")
+        if (b[:-1] < b[1:]).any():
             raise ValueError("birth rates must be non-increasing in occupancy")
 
     @property
@@ -66,9 +67,10 @@ class SteadyStateDistribution:
     def __post_init__(self) -> None:
         if not self.probabilities:
             raise ValueError("a distribution needs at least one state")
-        for p in self.probabilities:
-            if not math.isfinite(p) or p < -1e-9 or p > 1 + 1e-9:
-                raise ValueError(f"state probability out of range: {p}")
+        p = np.asarray(self.probabilities, dtype=float)
+        bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))
+        if bad.size:
+            raise ValueError(f"state probability out of range: {self.probabilities[bad[0]]}")
 
     @property
     def capacity(self) -> int:
@@ -79,7 +81,7 @@ class SteadyStateDistribution:
         return math.fsum(self.probabilities[start:])
 
     def mean_occupancy(self) -> float:
-        return math.fsum(i * p for i, p in enumerate(self.probabilities))
+        return math.fsum((np.arange(len(self.probabilities)) * self.probabilities).tolist())
 
 
 @dataclass(frozen=True)
@@ -95,39 +97,39 @@ class BlockingReport:
 def build_chain(thresholds: ThresholdVector, rates, service_rate: float) -> BirthDeathChain:
     """Birth-death chain for frozen availability limits.
 
-    At occupancy i the birth rate is the total arrival rate of the classes
-    whose limit still exceeds i; class m contributes while i < limits[m-1].
+    Class m is admitted while occupancy i < limits[m-1], so the states
+    limits[m] <= i < limits[m-1] (limits[M] = 0) admit exactly classes 1..m.
+    Each such run gets one ``math.fsum`` over that prefix; fsum is correctly
+    rounded, so this is the float a per-state sum over the admitted classes gives.
     """
     vec = as_rate_vector(rates, thresholds.class_count)
-    n = thresholds.capacity
-    births = tuple(
-        math.fsum(lam for lam, lim in zip(vec, thresholds.limits) if i < lim)
-        for i in range(n)
-    )
-    return BirthDeathChain(births, float(service_rate))
+    bounds = thresholds.limits + (0,)
+    births: list[float] = []
+    for m in range(len(vec), 0, -1):
+        births += [math.fsum(vec[:m])] * (bounds[m - 1] - bounds[m])
+    return BirthDeathChain(tuple(births), float(service_rate))
 
 
 def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
-    """Stationary distribution by the ratio recursion.
+    """Stationary distribution by the ratio recursion w_i = w_{i-1} * (birth_{i-1} / (i*mu)).
 
-    Successive weights satisfy w_i = w_{i-1} * (birth_{i-1} / (i * mu)); the
-    weights are rescaled whenever they grow huge, so no factorial or power
-    is ever materialized and the recursion is stable for any capacity.
-    Dividing first keeps the product finite at huge rates, where
-    weight * birth would overflow before the division.
+    Dividing first keeps the product finite at huge rates. ``np.multiply.accumulate``
+    forms the product strictly left to right. Where a weight first passes
+    ``_RESCALE_LIMIT``, the prefix is scaled by its reciprocal and the accumulate
+    restarts from the rescaled weight, so every weight is bitwise that of a loop
+    that rescales in place; products past that point may overflow and are overwritten.
     """
     n = chain.capacity
-    mu = chain.service_rate
-    w = [0.0] * (n + 1)
-    w[0] = 1.0
-    for i in range(1, n + 1):
-        w[i] = w[i - 1] * (chain.birth_rates[i - 1] / (i * mu))
-        if w[i] > _RESCALE_LIMIT:
-            scale = 1.0 / w[i]
-            for j in range(i + 1):
-                w[j] *= scale
-    total = math.fsum(w)
-    return SteadyStateDistribution(tuple(x / total for x in w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.asarray(chain.birth_rates, dtype=float) / (np.arange(1.0, n + 1) * chain.service_rate)
+        w = np.multiply.accumulate(np.concatenate(([1.0], ratios)))
+        i = 0
+        while (over := np.flatnonzero(w[i + 1 :] > _RESCALE_LIMIT)).size:
+            i += 1 + int(over[0])
+            w[: i + 1] *= 1.0 / w[i]
+            w[i + 1 :] = ratios[i:]
+            np.multiply.accumulate(w[i:], out=w[i:])
+    return SteadyStateDistribution(tuple((w / math.fsum(w.tolist())).tolist()))
 
 
 def steady_state_oracle(chain: BirthDeathChain) -> SteadyStateDistribution:
@@ -250,9 +252,7 @@ def quasi_stationary_curve(
         if classify_load(rates, params) is LoadCondition.HIGH:
             thresholds = availability_thresholds(rates, params)
             chain = build_chain(thresholds, rates, params.service_rate)
-            reports.append(
-                blocking_report(steady_state(chain), thresholds, rates, params.service_rate)
-            )
+            reports.append(blocking_report(steady_state(chain), thresholds, rates, params.service_rate))
         else:
             reports.append(nonpriority_report(params, rates))
     return reports

@@ -13,6 +13,7 @@ instead of mutating.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -68,11 +69,11 @@ class SystemParams:
             raise ValueError(
                 f"common_floor must be an integer in [0, {self.capacity}], got {self.common_floor!r}"
             )
-        if not (isinstance(self.service_rate, (int, float)) and 0 < self.service_rate < math.inf):
+        if not (isinstance(self.service_rate, (int, float)) and 0 < self.service_rate <= sys.float_info.max):
             raise ValueError(f"service_rate must be positive and finite, got {self.service_rate!r}")
         if self.load_threshold is None:
             object.__setattr__(self, "load_threshold", 0.925 / self.service_rate)
-        if not (isinstance(self.load_threshold, (int, float)) and 0 < self.load_threshold < math.inf):
+        if not (isinstance(self.load_threshold, (int, float)) and 0 < self.load_threshold <= sys.float_info.max):
             raise ValueError(f"load_threshold must be positive and finite, got {self.load_threshold!r}")
         if not isinstance(self.class_count, int) or self.class_count < 1:
             raise ValueError(f"class_count must be a positive integer, got {self.class_count!r}")
@@ -275,6 +276,4 @@ class RateEstimator:
 
     def rates(self) -> RateVector:
         """Current per-class estimates as a rate vector."""
-        return tuple(
-            p if e is None else e for p, e in zip(self.priors, self.estimates)
-        )
+        return tuple(p if e is None else e for p, e in zip(self.priors, self.estimates))

@@ -1,12 +1,14 @@
 """Chain construction, the two steady-state solvers, and blocking reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dynguard import (
     BirthDeathChain,
+    SteadyStateDistribution,
     SystemParams,
     ThresholdVector,
     blocking_report,
@@ -42,6 +44,24 @@ def random_chain(rng, max_capacity=64):
     return build_chain(tv, rates, mu), tv, rates, mu
 
 
+def per_state_recursion(limits, rates, mu):
+    """Reference chain solve: one fsum per state, weights rescaled in place."""
+    births = tuple(
+        math.fsum(lam for lam, lim in zip(rates, limits) if i < lim) for i in range(limits[0])
+    )
+    w = [1.0] + [0.0] * len(births)
+    rescales = 0
+    for i in range(1, len(w)):
+        w[i] = w[i - 1] * (births[i - 1] / (i * mu))
+        if w[i] > 1e100:
+            rescales += 1
+            scale = 1.0 / w[i]
+            for j in range(i + 1):
+                w[j] *= scale
+    total = math.fsum(w)
+    return births, tuple(x / total for x in w), rescales
+
+
 class TestBuildChain:
     def test_segment_pattern(self):
         chain = build_chain(BENCH_TV, BENCH_RATES, 1.0)
@@ -65,6 +85,23 @@ class TestBuildChain:
     def test_chain_rejects_increasing_births(self):
         with pytest.raises(ValueError):
             BirthDeathChain((1.0, 2.0), 1.0)
+
+    @pytest.mark.parametrize(
+        "births, mu, message",
+        [
+            ((1.0, math.nan), 1.0, "birth rates must be finite and non-negative, got nan"),
+            ((math.inf, 1.0), 1.0, "birth rates must be finite and non-negative, got inf"),
+            ((1.0, -0.5), 1.0, "birth rates must be finite and non-negative, got -0.5"),
+            ((3.0, -1.0, math.nan), 1.0, "birth rates must be finite and non-negative, got -1.0"),
+            ((1.0, 2.0), 1.0, "birth rates must be non-increasing in occupancy"),
+            ((1.0, 1.0), math.nan, "service_rate must be positive and finite, got nan"),
+            ((1.0, 1.0), math.inf, "service_rate must be positive and finite, got inf"),
+            ((1.0, 1.0), 0.0, "service_rate must be positive and finite, got 0.0"),
+        ],
+    )
+    def test_chain_rejections_name_the_value(self, births, mu, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            BirthDeathChain(births, mu)
 
 
 class TestSteadyState:
@@ -119,6 +156,43 @@ class TestSteadyState:
             assert all(math.isfinite(p) for p in scaled.probabilities)
             a = steady_state(chain).probabilities
             assert max(abs(x - y) for x, y in zip(a, scaled.probabilities)) < 1e-9
+
+    @pytest.mark.parametrize(
+        "probabilities, message",
+        [
+            ((0.5, 1.5), "state probability out of range: 1.5"),
+            ((math.nan, 1.0), "state probability out of range: nan"),
+            ((1.0, -0.25, 2.0), "state probability out of range: -0.25"),
+            ((), "a distribution needs at least one state"),
+        ],
+    )
+    def test_distribution_rejections_name_the_value(self, probabilities, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SteadyStateDistribution(probabilities)
+
+    def test_matches_reference_recursion(self):
+        # Run-wise births and the restarted accumulate must give the very
+        # floats of the per-state recursion. Rates and mu share a scale of
+        # 10^U(-250, 250); above 300 states the offered load of 10-1000
+        # erlangs per channel makes every chain rescale several times.
+        rng = np.random.default_rng(13)
+        for k in range(120):
+            n = int(rng.integers(300, 6001)) if k % 5 == 0 else int(rng.integers(1, 300))
+            m = int(rng.integers(1, 6))
+            lower = sorted((int(rng.integers(0, n + 1)) for _ in range(m - 1)), reverse=True)
+            limits = (n, *lower)
+            s = float(10.0 ** rng.uniform(-250, 250))
+            load = n * float(10.0 ** rng.uniform(1 if n >= 300 else -1, 3))
+            rates = tuple(float(x) * load * s for x in rng.dirichlet(np.ones(m)))
+            chain = build_chain(ThresholdVector(limits), rates, s)
+            births, probabilities, rescales = per_state_recursion(limits, rates, s)
+            assert chain.birth_rates == births
+            assert steady_state(chain).probabilities == probabilities
+            assert n < 300 or rescales >= 2
+        # An int service rate, past int64 too, takes its float's path.
+        for mu in (3, 2**70):
+            births, probabilities, _ = per_state_recursion((3, 2), (4.0, 1.0), mu)
+            assert steady_state(BirthDeathChain(births, mu)).probabilities == probabilities
 
     def test_rescaling_keeps_large_chains_finite(self):
         # weights along the way exceed any double if materialized naively

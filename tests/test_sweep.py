@@ -1,6 +1,7 @@
 """Sweep evaluation and CSV emission."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,9 @@ from dynguard import (
     erlang_b,
     run_sweep,
 )
+from dynguard.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 HEADER = (
     "scheme,lambda_total,class,blocking_analytic,blocking_sim,"
@@ -216,3 +220,21 @@ class TestEmitCsv:
     def test_write_failure_propagates(self, tmp_path):
         with pytest.raises(OSError):
             emit_csv([], tmp_path / "missing" / "out.csv")
+
+
+@pytest.mark.parametrize(
+    "config, reference",
+    [
+        ("configs/regression.conf", "sweep_sim_analytic.csv"),
+        ("perfbench/inputs/analytic_wide.conf", "sweep_analytic_wide_analytic.csv"),
+    ],
+)
+def test_analytic_columns_match_the_committed_references_exactly(tmp_path, config, reference):
+    # The benchmark references hold the analytic columns (scheme, lambda_total,
+    # class, blocking_analytic, utilization_analytic, mode) as the CSV prints
+    # them; any change to the chain layer's floats shows up as a text diff.
+    out = tmp_path / "analytic.csv"
+    assert main(["analytic", "--config", str(ROOT / config), "--out", str(out)]) == 0
+    rows = (line.split(",") for line in out.read_text().splitlines()[1:])
+    got = "".join(",".join(r[c] for c in (0, 1, 2, 3, 6, 8)) + "\n" for r in rows)
+    assert got == (ROOT / "perfbench" / "reference" / reference).read_text()

@@ -59,6 +59,9 @@ class TestSystemParams:
             dict(capacity=10, service_rate=math.inf),
             dict(capacity=10, load_threshold=math.inf),
             dict(capacity=10, service_rate=5e-324),  # default load_threshold overflows
+            dict(capacity=4, service_rate=10**400, load_threshold=1.0),  # beyond the float range
+            dict(capacity=4, service_rate=10**400),
+            dict(capacity=4, load_threshold=10**400),
             dict(capacity=10, class_count=0),
         ],
     )
