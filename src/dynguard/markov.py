@@ -12,6 +12,7 @@ loss formula is included as the non-priority baseline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,7 @@ class BirthDeathChain:
     service_rate: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.service_rate < math.inf:
+        if not 0 < self.service_rate <= sys.float_info.max:
             raise ValueError(f"service_rate must be positive and finite, got {self.service_rate}")
         b = np.asarray(self.birth_rates, dtype=float)
         bad = np.flatnonzero(~((b >= 0) & (b < math.inf)))
@@ -197,7 +198,7 @@ def erlang_b(channels: int, offered: float) -> float:
     """
     if not isinstance(channels, int) or channels < 0:
         raise ValueError(f"channels must be a non-negative integer, got {channels!r}")
-    if not (math.isfinite(offered) and offered >= 0):
+    if not 0 <= offered <= sys.float_info.max:
         raise ValueError(f"offered load must be finite and non-negative, got {offered!r}")
     b = 1.0
     for k in range(1, channels + 1):

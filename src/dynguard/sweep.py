@@ -3,14 +3,15 @@
 For every (scheme, grid point) pair the sweep computes the analytic
 blocking report and, when enabled, pooled simulation estimates across the
 seed list. Rows come out in (scheme, total rate, class) order with class 0
-reserved for the aggregate view, so repeated runs of the same config are
+the pooled class over all of 1..M, so repeated runs of the same config are
 byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .config import _CSV_REAL, SweepConfig
@@ -33,7 +34,11 @@ _CSV_HEADER = (
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One CSV row: class 0 aggregates a grid point, classes 1..M detail it."""
+    """One CSV row: class 0 is the pooled class of a grid point, 1..M detail it.
+
+    Class 0's analytic blocking is the rate-weighted mean, its simulated
+    blocking pools every class and seed, and only it carries utilizations.
+    """
 
     scheme: str
     lambda_total: float
@@ -50,9 +55,10 @@ class SweepError(RuntimeError):
     """Evaluation failure, annotated with the grid point that caused it."""
 
 
-def _analytic_report(config: SweepConfig, scheme: Scheme, lam_total: float) -> BlockingReport:
+def _analytic_report(
+    config: SweepConfig, scheme: Scheme, lam_total: float, rates: tuple[float, ...]
+) -> BlockingReport:
     params = config.params
-    rates = tuple(m * lam_total for m in config.mix)
     if scheme is Scheme.DYNAMIC:
         return quasi_stationary_curve(params, config.mix, [lam_total])[0]
     if scheme is Scheme.NON_PRIORITY:
@@ -63,13 +69,13 @@ def _analytic_report(config: SweepConfig, scheme: Scheme, lam_total: float) -> B
 
 
 def _simulate_point(
-    config: SweepConfig, scheme: Scheme, lam_total: float
+    config: SweepConfig, scheme: Scheme, lam_total: float, rates: tuple[float, ...]
 ) -> tuple[list[int], list[int], float]:
-    """Pooled per-class blocked/offered counts and mean utilization over all seeds."""
+    """Blocked/offered counts pooled over all seeds, with index 0 the total
+    over all classes, and the mean utilization."""
     params = config.params
-    rates = tuple(m * lam_total for m in config.mix)
-    offered = [0] * params.class_count
-    blocked = [0] * params.class_count
+    blocked = [0] * (params.class_count + 1)
+    offered = [0] * (params.class_count + 1)
     utils = []
     for seed in config.sim_seeds:
         scenario = Scenario(
@@ -82,73 +88,41 @@ def _simulate_point(
             smoothing=config.sim_smoothing if scheme is Scheme.DYNAMIC else None,
         )
         report = run_simulation(scenario)
-        for i in range(params.class_count):
-            offered[i] += report.offered[i]
-            blocked[i] += report.blocked[i]
+        for i, (b, o) in enumerate(zip(report.blocked, report.offered), 1):
+            blocked[i] += b
+            offered[i] += o
         utils.append(report.utilization)
+    blocked[0], offered[0] = sum(blocked[1:]), sum(offered[1:])
     return blocked, offered, math.fsum(utils) / len(utils)
 
 
 def run_sweep(config: SweepConfig) -> list[ResultRow]:
-    """Evaluate every scheme at every grid point; see :class:`ResultRow`."""
-    params = config.params
+    """Evaluate every scheme at every grid point: the pooled class 0, then
+    classes 1..M; see :class:`ResultRow`."""
     rows: list[ResultRow] = []
     for scheme in sorted(config.schemes, key=lambda s: s.value):
         for lam_total in config.grid:
-            rates = tuple(m * lam_total for m in config.mix)
-            mode = classify_load(rates, params).value
             try:
-                report = _analytic_report(config, scheme, lam_total)
-                sim = _simulate_point(config, scheme, lam_total) if config.sim_enabled else None
+                rates = tuple(m * lam_total for m in config.mix)
+                mode = classify_load(rates, config.params).value
+                report = _analytic_report(config, scheme, lam_total, rates)
+                pooled = math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
+                analytic = (pooled, *report.blocking)
+                if config.sim_enabled:
+                    blocked, offered, sim_util = _simulate_point(config, scheme, lam_total, rates)
+                else:  # nothing offered, so the simulated columns stay empty
+                    blocked = offered = [0] * len(analytic)
+                    sim_util = None
             except Exception as exc:
                 raise SweepError(
                     f"scheme={scheme.value} lambda_total={lam_total:g}: {exc}"
                 ) from exc
 
-            agg_analytic = (
-                math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
-            )
-            if sim is None:
-                agg_sim = agg_se = sim_util = None
-                cls_sim = cls_se = (None,) * params.class_count
-            else:
-                blocked, offered, sim_util = sim
-                total_blocked, total_offered = sum(blocked), sum(offered)
-                agg_sim = total_blocked / total_offered if total_offered else None
-                agg_se = blocking_stderr(total_blocked, total_offered)
-                cls_sim = tuple(
-                    b / o if o else None for b, o in zip(blocked, offered)
-                )
-                cls_se = tuple(
-                    blocking_stderr(b, o) for b, o in zip(blocked, offered)
-                )
-
-            rows.append(
-                ResultRow(
-                    scheme=scheme.value,
-                    lambda_total=lam_total,
-                    cls=0,
-                    blocking_analytic=agg_analytic,
-                    blocking_sim=agg_sim,
-                    blocking_sim_stderr=agg_se,
-                    utilization_analytic=report.utilization,
-                    utilization_sim=sim_util,
-                    mode=mode,
-                )
-            )
-            for m in range(1, params.class_count + 1):
+            for cls, (b, o) in enumerate(zip(blocked, offered)):
+                sim = (b / o if o else None, blocking_stderr(b, o))
+                utilization = (report.utilization, sim_util) if cls == 0 else (None, None)
                 rows.append(
-                    ResultRow(
-                        scheme=scheme.value,
-                        lambda_total=lam_total,
-                        cls=m,
-                        blocking_analytic=report.blocking[m - 1],
-                        blocking_sim=cls_sim[m - 1],
-                        blocking_sim_stderr=cls_se[m - 1],
-                        utilization_analytic=None,
-                        utilization_sim=None,
-                        mode=mode,
-                    )
+                    ResultRow(scheme.value, lam_total, cls, analytic[cls], *sim, *utilization, mode)
                 )
     return rows
 
@@ -163,23 +137,11 @@ def _field(value) -> str:
     return format(value, _CSV_REAL)
 
 
+_COLUMNS = attrgetter(*(f.name for f in fields(ResultRow)))
+
+
 def emit_csv(rows, path) -> None:
     """Write rows to ``path`` with the fixed header; reals get 9 significant digits."""
     lines = [_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.scheme,
-                    _field(r.lambda_total),
-                    str(r.cls),
-                    _field(r.blocking_analytic),
-                    _field(r.blocking_sim),
-                    _field(r.blocking_sim_stderr),
-                    _field(r.utilization_analytic),
-                    _field(r.utilization_sim),
-                    r.mode,
-                )
-            )
-        )
+    lines.extend(",".join(map(_field, _COLUMNS(r))) for r in rows)
     Path(path).write_text("\n".join(lines) + "\n")

@@ -132,15 +132,15 @@ class ThresholdVector:
 
 def as_rate_vector(rates, class_count: int | None = None) -> RateVector:
     """Validate and normalize a per-class rate sequence to a tuple."""
-    vec = tuple(float(r) for r in rates)
+    vec = tuple(rates)
     if not vec:
         raise ValueError("at least one traffic class is required")
     if class_count is not None and len(vec) != class_count:
         raise ValueError(f"expected {class_count} class rates, got {len(vec)}")
     for i, r in enumerate(vec):
-        if not math.isfinite(r) or r < 0:
+        if not 0 <= r <= sys.float_info.max:
             raise ValueError(f"class {i + 1} rate must be finite and non-negative, got {r}")
-    return vec
+    return tuple(map(float, vec))
 
 
 def total_arrival_rate(rates) -> float:

@@ -97,6 +97,7 @@ class TestBuildChain:
             ((1.0, 1.0), math.nan, "service_rate must be positive and finite, got nan"),
             ((1.0, 1.0), math.inf, "service_rate must be positive and finite, got inf"),
             ((1.0, 1.0), 0.0, "service_rate must be positive and finite, got 0.0"),
+            ((1.0,), 10**400, f"service_rate must be positive and finite, got {10**400}"),
         ],
     )
     def test_chain_rejections_name_the_value(self, births, mu, message):
@@ -276,6 +277,8 @@ class TestErlangB:
             erlang_b(-1, 1.0)
         with pytest.raises(ValueError):
             erlang_b(3, -0.5)
+        with pytest.raises(ValueError, match="offered load must be finite and non-negative"):
+            erlang_b(3, 10**400)
 
     def test_nonpriority_utilization_saturates_at_huge_load(self):
         # offered * (1 - B) cancels to 0 once B rounds to 1; the report must

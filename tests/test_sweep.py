@@ -1,5 +1,6 @@
 """Sweep evaluation and CSV emission."""
 
+import hashlib
 import math
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 from dynguard import (
     Scheme,
     SweepConfig,
+    SweepError,
     SystemParams,
     ThresholdVector,
     emit_csv,
@@ -159,16 +161,53 @@ class TestRunSweep:
         assert len(within) / len(checked) >= 0.99
 
     def test_grid_point_context_on_failure(self):
-        # fixed-guard scheme with no thresholds: the failure names the point
+        # fixed-guard scheme with no thresholds, and a negative rate that
+        # fails in classify_load: each failure names the point
+        cases = [
+            (
+                SweepConfig(
+                    params=SystemParams(10, 5),
+                    mix=(0.5, 0.5),
+                    grid=(12.0,),
+                    schemes=(Scheme.FIXED_GUARD,),
+                    fixed_thresholds=None,
+                ),
+                "lambda_total=12",
+            ),
+            (
+                SweepConfig(
+                    params=SystemParams(10, 5),
+                    mix=(0.5, 0.3, 0.2),
+                    grid=(-5.0,),
+                    schemes=(Scheme.NON_PRIORITY,),
+                ),
+                "^scheme=nonpriority lambda_total=-5: ",
+            ),
+        ]
+        for cfg, context in cases:
+            with pytest.raises(SweepError, match=context):
+                run_sweep(cfg)
+
+    def test_pooled_simulation_columns_are_pinned(self, tmp_path):
+        # two seeds pooled per class and over all classes (class 0), for all
+        # three schemes; any change to the pooling shows up in the digest
         cfg = SweepConfig(
             params=SystemParams(10, 5),
-            mix=(0.5, 0.5),
-            grid=(12.0,),
-            schemes=(Scheme.FIXED_GUARD,),
-            fixed_thresholds=None,
+            mix=(0.5, 0.3, 0.2),
+            grid=(6.0, 12.0),
+            schemes=(Scheme.DYNAMIC, Scheme.FIXED_GUARD, Scheme.NON_PRIORITY),
+            fixed_thresholds=ThresholdVector((10, 8, 6)),
+            sim_enabled=True,
+            sim_arrivals=2000,
+            sim_seeds=(1, 2),
         )
-        with pytest.raises(Exception, match="lambda_total=12"):
-            run_sweep(cfg)
+        out = tmp_path / "pooled.csv"
+        emit_csv(run_sweep(cfg), out)
+        data = out.read_bytes()
+        assert data.count(b"\n") == 25
+        assert hashlib.sha256(data).hexdigest() == (
+            "17bac2ad8cf082eab3c5168170c5a5869aa45ab21b262284f84046be1da65435"
+        )
 
 
 class TestEmitCsv:

@@ -1,6 +1,7 @@
 """Rate arithmetic, thresholds, and the online estimator."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,11 @@ class TestTotalRate:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             as_rate_vector((1.0, -0.5))
+        # an int beyond the float range gets the same message, not OverflowError
+        message = f"class 2 rate must be finite and non-negative, got {10**400}"
+        for call in (as_rate_vector, total_arrival_rate):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call([1, 10**400])
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
