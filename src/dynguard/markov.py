@@ -33,6 +33,24 @@ _ORACLE_MAX_STATES = 2000
 _RESCALE_LIMIT = 1e100
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` as floats; an int beyond the float range becomes NaN, so range checks reject it."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        return np.array([v if abs(v) <= sys.float_info.max else math.nan for v in values])
+
+
+def _exact_sum(a: np.ndarray) -> float:
+    """``math.fsum`` of the nonzero values of ``a``, largest first.
+
+    fsum is correctly rounded in any order and a zero adds nothing, so this is the
+    float an index-order fsum gives, never -0.0. Fed largest first, fsum keeps few
+    partials, where index order keeps many across the tiny weights rescales leave.
+    """
+    return math.fsum(np.sort(a[a != 0])[::-1].tolist())
+
+
 @dataclass(frozen=True)
 class BirthDeathChain:
     """Occupancy chain: ``birth_rates[i]`` applies at state i, deaths are i*mu.
@@ -47,7 +65,7 @@ class BirthDeathChain:
     def __post_init__(self) -> None:
         if not 0 < self.service_rate <= sys.float_info.max:
             raise ValueError(f"service_rate must be positive and finite, got {self.service_rate}")
-        b = np.asarray(self.birth_rates, dtype=float)
+        b = _float_array(self.birth_rates)
         bad = np.flatnonzero(~((b >= 0) & (b < math.inf)))
         if bad.size:
             raise ValueError(f"birth rates must be finite and non-negative, got {self.birth_rates[bad[0]]}")
@@ -68,7 +86,7 @@ class SteadyStateDistribution:
     def __post_init__(self) -> None:
         if not self.probabilities:
             raise ValueError("a distribution needs at least one state")
-        p = np.asarray(self.probabilities, dtype=float)
+        p = _float_array(self.probabilities)
         bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))
         if bad.size:
             raise ValueError(f"state probability out of range: {self.probabilities[bad[0]]}")
@@ -78,11 +96,14 @@ class SteadyStateDistribution:
         return len(self.probabilities) - 1
 
     def tail(self, start: int) -> float:
-        """Probability of occupancy >= ``start``."""
-        return math.fsum(self.probabilities[start:])
+        """Probability of occupancy >= ``start``; fsum over the nonzero terms, largest
+        first, is correctly rounded, so it is the float an index-order fsum gives."""
+        return _exact_sum(np.asarray(self.probabilities[start:]))
 
     def mean_occupancy(self) -> float:
-        return math.fsum((np.arange(len(self.probabilities)) * self.probabilities).tolist())
+        """Sum of i * P_i; fsum over the nonzero terms, largest first, is correctly
+        rounded, so it is the float an index-order fsum gives."""
+        return _exact_sum(np.arange(len(self.probabilities)) * self.probabilities)
 
 
 @dataclass(frozen=True)
@@ -119,6 +140,8 @@ def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
     ``_RESCALE_LIMIT``, the prefix is scaled by its reciprocal and the accumulate
     restarts from the rescaled weight, so every weight is bitwise that of a loop
     that rescales in place; products past that point may overflow and are overwritten.
+    The normalising total is fsum over the nonzero weights, largest first; fsum is
+    correctly rounded in any order, so it is the float an index-order fsum gives.
     """
     n = chain.capacity
     with np.errstate(over="ignore", invalid="ignore"):
@@ -130,7 +153,7 @@ def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
             w[: i + 1] *= 1.0 / w[i]
             w[i + 1 :] = ratios[i:]
             np.multiply.accumulate(w[i:], out=w[i:])
-    return SteadyStateDistribution(tuple((w / math.fsum(w.tolist())).tolist()))
+    return SteadyStateDistribution(tuple((w / _exact_sum(w)).tolist()))
 
 
 def steady_state_oracle(chain: BirthDeathChain) -> SteadyStateDistribution:
@@ -202,7 +225,8 @@ def erlang_b(channels: int, offered: float) -> float:
         raise ValueError(f"offered load must be finite and non-negative, got {offered!r}")
     b = 1.0
     for k in range(1, channels + 1):
-        b = offered * b / (k + offered * b)
+        ab = offered * b
+        b = ab / (k + ab)
     return b
 
 

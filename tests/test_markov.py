@@ -11,6 +11,7 @@ from dynguard import (
     SteadyStateDistribution,
     SystemParams,
     ThresholdVector,
+    availability_thresholds,
     blocking_report,
     build_chain,
     erlang_b,
@@ -19,6 +20,7 @@ from dynguard import (
     steady_state,
     steady_state_oracle,
 )
+from dynguard.markov import _exact_sum
 
 # Benchmark configuration: N=4, limits (4,3,2), unit rates. The stationary
 # weights are exactly (1, 3, 4.5, 3, 0.75)/12.25, so everything below is an
@@ -323,3 +325,124 @@ class TestQuasiStationaryCurve:
         grid = [26.0, 30.0, 40.0]
         for lam_total, rep in zip(grid, quasi_stationary_curve(params, mix, grid)):
             assert rep.blocking[0] < erlang_b(20, lam_total)
+
+
+def reference_recursion_chains():
+    """The 120 (limits, rates, mu) cases that test_matches_reference_recursion draws."""
+    rng = np.random.default_rng(13)
+    for k in range(120):
+        n = int(rng.integers(300, 6001)) if k % 5 == 0 else int(rng.integers(1, 300))
+        m = int(rng.integers(1, 6))
+        lower = sorted((int(rng.integers(0, n + 1)) for _ in range(m - 1)), reverse=True)
+        limits = (n, *lower)
+        s = float(10.0 ** rng.uniform(-250, 250))
+        load = n * float(10.0 ** rng.uniform(1 if n >= 300 else -1, 3))
+        yield limits, tuple(float(x) * load * s for x in rng.dirichlet(np.ones(m))), s
+
+
+def same_float(got, want):
+    """Bitwise equality, the sign of zero included."""
+    return float(got).hex() == float(want).hex()
+
+
+class TestExactSums:
+    """Every sum in the chain layer is the float an index-order fsum gives."""
+
+    @staticmethod
+    def random_terms(rng):
+        n = int(rng.integers(0, 400))
+        top = float(rng.uniform(-323, 100))
+        x = 10.0 ** rng.uniform(-324, top, n)  # 5e-324 up to 10**top; some round to 0
+        kind = rng.integers(0, 4, n)
+        x[kind == 1] = 0.0
+        x[kind == 2] = np.ldexp(1.0, rng.integers(-1074, 333, n))[kind == 2]
+        return x
+
+    def test_helper_matches_index_order_fsum(self):
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            x = self.random_terms(rng)
+            assert same_float(_exact_sum(x), math.fsum(x.tolist()))
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [1.0, 2**-53],  # a half-even tie, which rounds down to 1.0
+            [1.0, 2**-53, 2**-1074],  # the smallest subnormal breaks the tie upward
+            [2**-53, 1.0, 2**-1074],
+            [],
+            [0.0, 0.0, 0.0],
+            [-0.0],
+            [-0.0, -0.0, 0.0],
+            [5e-324] * 7,
+            [1.0, -1e-9, 0.0, -1e-9, 1e-300],  # a hand-built distribution allows -1e-9
+            [-1e-9, -5e-10, 0.0],
+            [1e-9, -1e-9],
+        ],
+    )
+    def test_helper_edge_cases(self, terms):
+        assert same_float(_exact_sum(np.asarray(terms, dtype=float)), math.fsum(terms))
+
+    def test_helper_with_slightly_negative_entries(self):
+        rng = np.random.default_rng(22)
+        for _ in range(1000):
+            x = self.random_terms(rng) * 1e-300
+            neg = rng.random(x.size) < 0.3
+            x[neg] = -rng.uniform(0.0, 1e-9, int(neg.sum()))
+            assert same_float(_exact_sum(x), math.fsum(x.tolist()))
+
+    @staticmethod
+    def check_distribution(dist, thresholds, rates, mu):
+        p = dist.probabilities
+        for start in (*thresholds.limits, 0, 1, len(p) - 1, len(p)):
+            assert same_float(dist.tail(start), math.fsum(p[start:]))
+        mean = math.fsum(i * x for i, x in enumerate(p))
+        assert same_float(dist.mean_occupancy(), mean)
+        rep = blocking_report(dist, thresholds, rates, mu)
+        assert all(same_float(b, math.fsum(p[lim:])) for b, lim in zip(rep.blocking, thresholds.limits))
+        assert same_float(rep.mean_occupancy, mean)
+        assert same_float(rep.utilization, mean / dist.capacity)
+
+    def test_distribution_sums_match_index_order_fsum(self):
+        for limits, rates, mu in reference_recursion_chains():
+            tv = ThresholdVector(limits)
+            self.check_distribution(steady_state(build_chain(tv, rates, mu)), tv, rates, mu)
+
+    def test_wide_sweep_chain(self):
+        # perfbench's analytic_wide high point: N=5000, floor 2500, lambda=7500.
+        # Rescales leave many weights between 1e-30 and 5e-324, and many exact zeros.
+        params = SystemParams(5000, 2500)
+        rates = (0.4 * 7500, 0.3 * 7500, 0.3 * 7500)
+        tv = availability_thresholds(rates, params)
+        dist = steady_state(build_chain(tv, rates, 1.0))
+        p = np.asarray(dist.probabilities)
+        assert (p == 0).sum() > 2000 and ((p > 0) & (p < 1e-30)).sum() > 1000
+        self.check_distribution(dist, tv, rates, 1.0)
+
+    def test_hand_built_distribution(self):
+        p = (0.25, -1e-9, 0.5, 0.0, 0.25 + 1e-9, 1e-310)
+        dist = SteadyStateDistribution(p)
+        self.check_distribution(dist, ThresholdVector((5, 3, 1)), (1.0, 1.0, 1.0), 1.0)
+
+
+def test_erlang_b_matches_the_textbook_form():
+    # The recursion forms a*B(k-1) once per step; the product is the same
+    # IEEE operation, so the result is bitwise that of the textbook form.
+    def textbook(n, a):
+        b = 1.0
+        for k in range(1, n + 1):
+            b = a * b / (k + a * b)
+        return b
+
+    rng = np.random.default_rng(23)
+    cases = [(int(rng.integers(0, 300)), float(10.0 ** rng.uniform(-3, 4))) for _ in range(500)]
+    cases += [(40, 1e-300), (40, 1e300), (5000, 7500.0), (3, 0.0)]
+    for n, a in cases:
+        assert same_float(erlang_b(n, a), textbook(n, a))
+
+
+@pytest.mark.parametrize("make", [lambda v: BirthDeathChain((v,), 1.0), lambda v: SteadyStateDistribution((v,))])
+@pytest.mark.parametrize("value", [10**400, -(10**400)])
+def test_int_beyond_float_range_is_named(make, value):
+    with pytest.raises(ValueError, match=re.escape(str(value))):
+        make(value)
