@@ -131,6 +131,10 @@ class SweepConfig:
     sim_smoothing: float | None = None
     out_path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.sim_enabled and not self.sim_seeds:
+            raise ValueError("sim_seeds must list at least one seed when simulation is enabled")
+
     def horizon(self, lam_total: float) -> float:
         """Simulation horizon whose post-warmup window sees about ``sim_arrivals`` calls."""
         return self.sim_arrivals / (0.9 * lam_total)

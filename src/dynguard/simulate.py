@@ -32,8 +32,8 @@ from .traffic import (
     RateVector,
     SystemParams,
     ThresholdVector,
+    _class_limit,
     _observe_gap,
-    _threshold_limits,
     as_rate_vector,
 )
 
@@ -284,12 +284,11 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     # The schemes differ only in the limits in force: the shared pool, fixed
     # guards, or (DYNAMIC) whatever the latest estimate implies.
-    shared = (capacity,) * m_count
     if scenario.scheme is Scheme.FIXED_GUARD:
         limits = scenario.fixed_thresholds.limits
         mode_high = True
     else:
-        limits = shared
+        limits = (capacity,) * m_count
         mode_high = False
     # DYNAMIC estimator state for _observe_gap: each class's last arrival
     # time, its 1/gap estimate, and how many classes have no gap yet.
@@ -356,21 +355,21 @@ def run_simulation(scenario: Scenario) -> SimReport:
                 seg += 1
 
             # Arrival of class idx+1 inside segment seg.
+            limit = limits[idx]
             if dynamic:
                 if _observe_gap(last_seen, estimates, idx, t, smoothing):
                     missing -= 1
                 # Until every class has two arrivals the gap estimates are
-                # undefined; the scheme stays on the shared pool.
+                # undefined; the scheme stays on the shared pool. Only this
+                # arrival's own limit decides its admission, and class 1's
+                # is always the capacity.
                 if not missing:
                     lam_total = math.fsum(estimates)
-                    if lam_total >= high_rate:
-                        mode_high = True
-                        limits = _threshold_limits(estimates, lam_total, capacity, pool)
-                    else:
-                        mode_high = False
-                        limits = shared
+                    mode_high = lam_total >= high_rate
+                    if mode_high and idx:
+                        limit = _class_limit(estimates, lam_total, capacity, pool, idx)
 
-            admitted = occupied < limits[idx]
+            admitted = occupied < limit
             measured = t >= warmup
             if measured:
                 seg_offered[seg][idx] += 1

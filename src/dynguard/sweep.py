@@ -2,15 +2,19 @@
 
 For every (scheme, grid point) pair the sweep computes the analytic
 blocking report and, when enabled, pooled simulation estimates across the
-seed list. Rows come out in (scheme, total rate, class) order with class 0
-the pooled class over all of 1..M, so repeated runs of the same config are
-byte-identical.
+seed list. The simulation runs share out over every usable CPU and are
+pooled back in sweep order. Rows come out in (scheme, total rate, class)
+order with class 0 the pooled class over all of 1..M, so repeated runs of
+the same config are byte-identical, on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
+from itertools import islice, product
 from operator import attrgetter
 from pathlib import Path
 
@@ -68,62 +72,108 @@ def _analytic_report(
     return blocking_report(steady_state(chain), thresholds, rates, params.service_rate)
 
 
-def _simulate_point(
-    config: SweepConfig, scheme: Scheme, lam_total: float, rates: tuple[float, ...]
-) -> tuple[list[int], list[int], float]:
-    """Blocked/offered counts pooled over all seeds, with index 0 the total
-    over all classes, and the mean utilization."""
-    params = config.params
-    blocked = [0] * (params.class_count + 1)
-    offered = [0] * (params.class_count + 1)
-    utils = []
-    for seed in config.sim_seeds:
-        scenario = Scenario(
-            params=params,
-            schedule=((0.0, rates),),
-            horizon=config.horizon(lam_total),
-            seed=seed,
-            scheme=scheme,
-            fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
-            smoothing=config.sim_smoothing if scheme is Scheme.DYNAMIC else None,
-        )
-        report = run_simulation(scenario)
-        for i, (b, o) in enumerate(zip(report.blocked, report.offered), 1):
-            blocked[i] += b
-            offered[i] += o
-        utils.append(report.utilization)
-    blocked[0], offered[0] = sum(blocked[1:]), sum(offered[1:])
-    return blocked, offered, math.fsum(utils) / len(utils)
+def _simulate(scenario: Scenario) -> tuple[tuple[int, ...], tuple[int, ...], float]:
+    """One run's per-class blocked and offered counts and its utilization:
+    all that a pool worker sends back."""
+    report = run_simulation(scenario)
+    return report.blocked, report.offered, report.utilization
+
+
+def _simulated(scenarios: list[Scenario]):
+    """Yield :func:`_simulate` of every scenario, in order.
+
+    On Linux the runs go to one forked worker per CPU in the affinity mask,
+    up to one per run; with a single worker, or elsewhere, they run in this
+    process. A failed run raises when its turn comes, and the runs still
+    queued are cancelled.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(scenarios)) if sys.platform == "linux" else 1
+    if workers < 2:
+        yield from map(_simulate, scenarios)
+        return
+    # Imported here: an analytic sweep never pays for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # Forked workers inherit the imported package, where spawned ones would
+    # import numpy again each, and fork leaves no helper process behind.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield from pool.map(_simulate, scenarios)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _point_error(scheme: Scheme, lam_total: float, exc: Exception) -> SweepError:
+    return SweepError(f"scheme={scheme.value} lambda_total={lam_total:g}: {exc}")
 
 
 def run_sweep(config: SweepConfig) -> list[ResultRow]:
     """Evaluate every scheme at every grid point: the pooled class 0, then
-    classes 1..M; see :class:`ResultRow`."""
+    classes 1..M; see :class:`ResultRow`.
+
+    The analytic reports and the simulation scenarios of every point are
+    made here first, then the runs go through :func:`_simulated` and are
+    pooled per point in sweep order, so the rows do not depend on where
+    they ran. A failure names the first grid point, in sweep order, that
+    failed.
+    """
+    points = []  # (scheme, lam_total, analytic blocking, analytic utilization, mode)
+    scenarios: list[Scenario] = []
+    failure = None
+    for scheme, lam_total in product(sorted(config.schemes, key=lambda s: s.value), config.grid):
+        try:
+            rates = tuple(m * lam_total for m in config.mix)
+            mode = classify_load(rates, config.params).value
+            report = _analytic_report(config, scheme, lam_total, rates)
+            pooled = math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
+            if config.sim_enabled:
+                scenarios += [
+                    Scenario(
+                        params=config.params,
+                        schedule=((0.0, rates),),
+                        horizon=config.horizon(lam_total),
+                        seed=seed,
+                        scheme=scheme,
+                        fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
+                        smoothing=config.sim_smoothing if scheme is Scheme.DYNAMIC else None,
+                    )
+                    for seed in config.sim_seeds
+                ]
+        except Exception as exc:
+            failure = (scheme, lam_total, exc)
+            break
+        points.append((scheme, lam_total, (pooled, *report.blocking), report.utilization, mode))
+
+    runs_per_point = len(config.sim_seeds) if config.sim_enabled else 0
+    runs = _simulated(scenarios)
     rows: list[ResultRow] = []
-    for scheme in sorted(config.schemes, key=lambda s: s.value):
-        for lam_total in config.grid:
+    try:
+        for scheme, lam_total, analytic, utilization, mode in points:
             try:
-                rates = tuple(m * lam_total for m in config.mix)
-                mode = classify_load(rates, config.params).value
-                report = _analytic_report(config, scheme, lam_total, rates)
-                pooled = math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
-                analytic = (pooled, *report.blocking)
-                if config.sim_enabled:
-                    blocked, offered, sim_util = _simulate_point(config, scheme, lam_total, rates)
-                else:  # nothing offered, so the simulated columns stay empty
-                    blocked = offered = [0] * len(analytic)
-                    sim_util = None
+                point_runs = list(islice(runs, runs_per_point))
             except Exception as exc:
-                raise SweepError(
-                    f"scheme={scheme.value} lambda_total={lam_total:g}: {exc}"
-                ) from exc
+                raise _point_error(scheme, lam_total, exc) from exc
+            # Index 0 pools every class; with no runs nothing is offered, so
+            # the simulated columns stay empty.
+            blocked = [0] * len(analytic)
+            offered = [0] * len(analytic)
+            for run_blocked, run_offered, _ in point_runs:
+                blocked[0] += sum(run_blocked)
+                offered[0] += sum(run_offered)
+                for cls, (b, o) in enumerate(zip(run_blocked, run_offered), 1):
+                    blocked[cls] += b
+                    offered[cls] += o
+            sim_util = math.fsum(u for *_, u in point_runs) / len(point_runs) if point_runs else None
 
             for cls, (b, o) in enumerate(zip(blocked, offered)):
                 sim = (b / o if o else None, blocking_stderr(b, o))
-                utilization = (report.utilization, sim_util) if cls == 0 else (None, None)
-                rows.append(
-                    ResultRow(scheme.value, lam_total, cls, analytic[cls], *sim, *utilization, mode)
-                )
+                util = (utilization, sim_util) if cls == 0 else (None, None)
+                rows.append(ResultRow(scheme.value, lam_total, cls, analytic[cls], *sim, *util, mode))
+    finally:
+        runs.close()
+    if failure is not None:
+        raise _point_error(*failure) from failure[2]
     return rows
 
 

@@ -155,20 +155,17 @@ def classify_load(rates, params: SystemParams) -> LoadCondition:
     return LoadCondition.LIGHT
 
 
-def _threshold_limits(
-    vec: RateVector, lam_total: float, capacity: int, pool: int
-) -> tuple[int, ...]:
-    """Integer availability limits from a validated rate vector and its fsum.
+def _class_limit(vec, lam_total: float, capacity: int, pool: int, idx: int) -> int:
+    """Availability limit of class ``idx + 1`` from validated rates and their fsum.
 
-    Shared by :func:`availability_thresholds` and the simulator's per-arrival
-    recomputation so both always agree.
+    The classes above it reserve the running sum of their quotas, floored.
+    :func:`availability_thresholds` and the simulator's per-arrival
+    recomputation both call this, so they always agree.
     """
-    limits = [capacity]
     cum = 0.0
-    for lam in vec[:-1]:
+    for lam in vec[:idx]:
         cum += lam / lam_total * pool
-        limits.append(capacity - math.floor(cum + _FLOOR_SLACK))
-    return tuple(limits)
+    return capacity - math.floor(cum + _FLOOR_SLACK)
 
 
 def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
@@ -186,7 +183,8 @@ def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
         raise ZeroTotalRateError("availability thresholds undefined at zero total rate")
     pool = params.reservable_pool
     quotas = tuple(lam / lam_total * pool for lam in vec[:-1])
-    return ThresholdVector(_threshold_limits(vec, lam_total, params.capacity, pool), quotas)
+    limits = tuple(_class_limit(vec, lam_total, params.capacity, pool, idx) for idx in range(len(vec)))
+    return ThresholdVector(limits, quotas)
 
 
 def _observe_gap(

@@ -1,5 +1,7 @@
 """Config file parsing and validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from dynguard import ConfigError, Scheme, load_config
@@ -160,6 +162,17 @@ def test_negative_seed_names_the_line(tmp_path):
 def test_duplicate_seed_names_the_line(tmp_path):
     with pytest.raises(ConfigError, match=r"sweep\.conf:3: seed 1 listed twice"):
         load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.seeds = 1, 1\n"))
+
+
+def test_simulation_needs_a_seed_at_construction(tmp_path):
+    # A SweepConfig made in code gets no load-time checks, so an empty seed
+    # list with simulation on is refused when the object is built.
+    cfg = load_config(write(tmp_path, FULL))
+    with pytest.raises(ValueError, match="sim_seeds"):
+        replace(cfg, sim_seeds=())
+    analytic = replace(cfg, sim_enabled=False, sim_seeds=())
+    with pytest.raises(ValueError, match="sim_seeds"):
+        replace(analytic, sim_enabled=True)
 
 
 def test_garbled_line(tmp_path):

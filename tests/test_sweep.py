@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import multiprocessing
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ from dynguard import (
     erlang_b,
     run_sweep,
 )
+from dynguard import sweep
 from dynguard.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -277,3 +281,94 @@ def test_analytic_columns_match_the_committed_references_exactly(tmp_path, confi
     rows = (line.split(",") for line in out.read_text().splitlines()[1:])
     got = "".join(",".join(r[c] for c in (0, 1, 2, 3, 6, 8)) + "\n" for r in rows)
     assert got == (ROOT / "perfbench" / "reference" / reference).read_text()
+
+
+# The config of test_pooled_simulation_columns_are_pinned.
+POOLED_CFG = SweepConfig(
+    params=SystemParams(10, 5),
+    mix=(0.5, 0.3, 0.2),
+    grid=(6.0, 12.0),
+    schemes=(Scheme.DYNAMIC, Scheme.FIXED_GUARD, Scheme.NON_PRIORITY),
+    fixed_thresholds=ThresholdVector((10, 8, 6)),
+    sim_enabled=True,
+    sim_arrivals=2000,
+    sim_seeds=(1, 2),
+)
+
+
+def use_cpus(monkeypatch, count):
+    """Make the sweep see ``count`` CPUs in this process's affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def patch_runs(monkeypatch, fail_at=None, pid_log=None):
+    """Make every run at total rate ``fail_at`` raise, and log each run's process id.
+
+    Forked workers inherit the patched module attribute.
+    """
+    real = sweep.run_simulation
+
+    def patched(scenario):
+        if pid_log is not None:
+            with open(pid_log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+        if fail_at is not None and scenario.horizon == POOLED_CFG.horizon(fail_at):
+            raise RuntimeError("boom")
+        return real(scenario)
+
+    monkeypatch.setattr(sweep, "run_simulation", patched)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks workers on Linux only")
+class TestWorkerPool:
+    def test_one_and_two_cpus_give_the_same_bytes(self, monkeypatch, tmp_path):
+        data = {}
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            pids = tmp_path / f"pids{cpus}"
+            patch_runs(monkeypatch, pid_log=pids)
+            out = tmp_path / f"cpus{cpus}.csv"
+            emit_csv(run_sweep(POOLED_CFG), out)
+            data[cpus] = out.read_bytes()
+            assert multiprocessing.active_children() == []
+            ran_in = set(pids.read_text().split())
+            if cpus == 1:
+                assert ran_in == {str(os.getpid())}
+            else:
+                assert str(os.getpid()) not in ran_in and 1 <= len(ran_in) <= 2
+        assert data[1] == data[2]
+        assert hashlib.sha256(data[2]).hexdigest() == (
+            "17bac2ad8cf082eab3c5168170c5a5869aa45ab21b262284f84046be1da65435"
+        )
+
+    def test_worker_failure_names_its_point_and_leaves_no_child(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        patch_runs(monkeypatch, fail_at=12.0)
+        with pytest.raises(SweepError, match=r"^scheme=dynamic lambda_total=12: boom$"):
+            run_sweep(POOLED_CFG)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "run_fails, analytic_fails, named",
+        [
+            (6.0, 12.0, "^scheme=dynamic lambda_total=6: boom"),
+            (12.0, 6.0, "^scheme=dynamic lambda_total=12: boom"),
+            (None, 6.0, "^scheme=fixed lambda_total=6: bust"),
+        ],
+    )
+    def test_first_failure_in_sweep_order_wins(self, monkeypatch, run_fails, analytic_fails, named):
+        # Runs fail in workers at every scheme's run_fails point; the fixed
+        # scheme's analytic report fails in this process at analytic_fails.
+        use_cpus(monkeypatch, 2)
+        patch_runs(monkeypatch, fail_at=run_fails)
+        real = sweep.blocking_report
+
+        def patched(dist, thresholds, rates, service_rate):
+            if math.fsum(rates) == analytic_fails:
+                raise ValueError("bust")
+            return real(dist, thresholds, rates, service_rate)
+
+        monkeypatch.setattr(sweep, "blocking_report", patched)
+        with pytest.raises(SweepError, match=named):
+            run_sweep(POOLED_CFG)
+        assert multiprocessing.active_children() == []
