@@ -132,6 +132,18 @@ class SweepConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
+        # The checks load_config makes first, with line numbers, repeated for
+        # a config built in code or by dataclasses.replace.
+        for m in self.mix:
+            if not 0 <= m <= 1:
+                raise ValueError(f"mix proportions must be non-negative and at most 1, got {m!r}")
+        if abs(math.fsum(self.mix) - 1.0) > 1e-9:
+            raise ValueError(f"mix proportions must sum to 1, got {math.fsum(self.mix)!r}")
+        for name in ("grid", "sim_seeds", "schemes"):
+            values = getattr(self, name)
+            for k, value in enumerate(values):
+                if value in values[:k]:
+                    raise ValueError(f"{name} lists {value!r} twice")
         if self.sim_enabled and not self.sim_seeds:
             raise ValueError("sim_seeds must list at least one seed when simulation is enabled")
 
@@ -259,6 +271,12 @@ def load_config(path) -> SweepConfig:
     elif limits is not None:
         fail("fixed.thresholds", "'fixed.thresholds' given but scheme 'fixed' is not enabled")
 
+    for k, seed in enumerate(values.get("sim.seeds", ())):
+        if seed < 0:
+            fail("sim.seeds", f"'sim.seeds' must be non-negative, got {seed}")
+        if seed in values["sim.seeds"][:k]:
+            fail("sim.seeds", f"seed {seed} listed twice in 'sim.seeds'")
+
     config = SweepConfig(
         params=params,
         mix=mix,
@@ -270,11 +288,6 @@ def load_config(path) -> SweepConfig:
     )
     if config.sim_arrivals < 1:
         fail("sim.arrivals", f"'sim.arrivals' must be positive, got {config.sim_arrivals}")
-    for k, seed in enumerate(config.sim_seeds):
-        if seed < 0:
-            fail("sim.seeds", f"'sim.seeds' must be non-negative, got {seed}")
-        if seed in config.sim_seeds[:k]:
-            fail("sim.seeds", f"seed {seed} listed twice in 'sim.seeds'")
     if config.sim_smoothing is not None and not 0 < config.sim_smoothing <= 1:
         fail("sim.smoothing", f"'sim.smoothing' must be in (0, 1], got {config.sim_smoothing}")
     # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it

@@ -6,17 +6,30 @@ exponential time. Under the dynamic scheme every arrival first updates the
 rate estimator, re-classifies the load, and rebuilds the availability
 limits before its own admission is decided, so the simulator exercises the
 live adaptation that the frozen-threshold chain cannot. Fixed-guard and
-shared-pool baselines run on the same event loop for comparison.
+shared-pool baselines run through the same stages for comparison.
 
 A run is deterministic for a given scenario and seed: each class draws its
 inter-arrival times from its own seeded stream and holding times come from
 one more, so changing one class's traffic never perturbs the others.
 Arrival times never depend on admission decisions, so each class's are
-computed ahead of the loop in blocks and merged in bounded time windows;
-only departures go through the event heap. Simultaneous events process
-departures first, then arrivals in class order. The merged arrivals carry
-no segment: one cursor follows the schedule, an arrival counts toward the
-segment whose [start, end) holds its time, and run totals sum the segments.
+computed ahead in blocks and merged into bounded time windows. Each window
+then goes through three stages:
+
+1. Policy, in numpy (:func:`_admission_policy`): every arrival's admission
+   limit and the load mode after it. They depend only on the arrivals, so
+   the whole window is computed at once; this is the one place where the
+   schemes differ.
+2. Occupancy, in Python: the only per-arrival loop. It pops the departures
+   due by the arrival, admits it while fewer channels than its limit are
+   busy, pushes its departure time, and records the decision.
+3. Statistics, in numpy (:class:`_Tally`): the window's departures and
+   arrivals merged in event order, departures first on ties and arrivals
+   in class order, give the occupancy and the mode over every span between
+   events, clipped at the warmup. Busy time, time per mode and each
+   segment's busy time are sequential cumulative sums of the same products
+   a per-event loop would add, in the same order, so every float is bitwise
+   the one that loop gives. An arrival counts toward the segment whose
+   [start, end) holds its time, and run totals sum the segments.
 """
 
 from __future__ import annotations
@@ -29,16 +42,20 @@ from heapq import heappop, heappush
 import numpy as np
 
 from .traffic import (
+    _FLOOR_SLACK,
+    MIN_GAP,
     RateVector,
     SystemParams,
     ThresholdVector,
-    _class_limit,
-    _observe_gap,
     as_rate_vector,
 )
 
 # Exponential draws fetched from a random stream at a time.
 _DRAW_BLOCK = 1024
+# Arrivals pulled ahead before an arrival window is cut. Wide windows
+# spread the fixed cost of each window's numpy calls over many arrivals;
+# the window's arrays stay bounded.
+_WINDOW_ARRIVALS = 4096
 
 
 class Scheme(Enum):
@@ -59,7 +76,8 @@ class Scenario:
     warmup: leading time span excluded from statistics; defaults to 10% of
         the horizon.
     fixed_thresholds: availability limits for the FIXED_GUARD scheme.
-    smoothing: optional exponential smoothing factor for the rate estimator.
+    smoothing: optional exponential smoothing factor for the rate estimator
+        (DYNAMIC only).
     record_trace: when set, the report carries every arrival as
         (time, class, admitted) for exact run-to-run comparisons.
     """
@@ -106,8 +124,11 @@ class Scenario:
                 raise ValueError("fixed_thresholds must cover every traffic class")
         elif self.fixed_thresholds is not None:
             raise ValueError("fixed_thresholds only applies to the FIXED_GUARD scheme")
-        if self.smoothing is not None and not 0 < self.smoothing <= 1:
-            raise ValueError(f"smoothing must be in (0, 1], got {self.smoothing!r}")
+        if self.smoothing is not None:
+            if self.scheme is not Scheme.DYNAMIC:
+                raise ValueError("smoothing only applies to the DYNAMIC scheme")
+            if not 0 < self.smoothing <= 1:
+                raise ValueError(f"smoothing must be in (0, 1], got {self.smoothing!r}")
 
 
 def blocking_stderr(blocked: int, offered: int) -> float | None:
@@ -165,17 +186,6 @@ class SimReport:
     trace: tuple[tuple[float, int, bool], ...] | None = None
 
 
-def _exponentials(rng: np.random.Generator):
-    """Endless unit-mean exponential draws from ``rng``, fetched in blocks.
-
-    ``standard_exponential(n)[i] * scale`` is bitwise equal to the i-th of n
-    successive ``exponential(scale)`` calls, across block refills too, so
-    block draws reproduce the per-call streams exactly.
-    """
-    while True:
-        yield from rng.standard_exponential(_DRAW_BLOCK).tolist()
-
-
 def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
     """One class's arrival times as ``(times, known)`` chunks, in order.
 
@@ -217,34 +227,343 @@ def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
 def _arrival_windows(streams, horizon: float):
     """Merge per-class chunk streams into time-ordered arrival windows.
 
-    Each window is every pending arrival up to the earliest ``known`` time
-    among the classes' pending chunks, as plain ``(times, classes)`` lists
-    sorted by time, ties in class order; so about one chunk per class is
-    pending at once. The last window ends with an end-of-run marker at the
-    horizon with class -1.
+    Chunks are pulled one at a time, always from the running class whose
+    pulled arrivals are known up to the earliest time, until at least
+    ``_WINDOW_ARRIVALS`` arrivals are pending or every stream has ended. A
+    window is then every pending arrival up to the earliest ``known`` time
+    among the running classes, as plain ``(times, classes)`` lists sorted by
+    time, ties in class order. The last window ends with an end-of-run
+    marker at the horizon with class -1.
     """
-    pending = [next(stream, None) for stream in streams]
-    while any(p is not None for p in pending):
-        w = min(p[1] for p in pending if p is not None)
+    pending = [[] for _ in streams]  # each class's pulled, unmerged time arrays
+    known = [-math.inf] * len(streams)  # no later time of the class lies before this
+    running = set(range(len(streams)))
+    count = 0
+    while running or count:
+        while running:
+            idx = min(running, key=known.__getitem__)
+            chunk = next(streams[idx], None)
+            if chunk is None:
+                running.discard(idx)
+                known[idx] = math.inf
+            else:
+                pending[idx].append(chunk[0])
+                known[idx] = chunk[1]
+                count += len(chunk[0])
+                if count >= _WINDOW_ARRIVALS:
+                    break
+        w = min(known)
         times, classes = [], []
-        for idx, p in enumerate(pending):
-            if p is None:
+        for idx, arrays in enumerate(pending):
+            if not arrays:
                 continue
-            chunk, known = p
-            n = int(np.searchsorted(chunk, w, side="right"))
-            if n == len(chunk) and known <= w:
-                pending[idx] = next(streams[idx], None)
-            elif n:
-                pending[idx] = (chunk[n:], known)
+            joined = np.concatenate(arrays)
+            n = int(np.searchsorted(joined, w, side="right"))
+            pending[idx] = [joined[n:]] if n < len(joined) else []
             if n:
-                times.append(chunk[:n])
+                times.append(joined[:n])
                 classes.append(np.full(n, idx))
         if not times:
             continue
         times = np.concatenate(times)
+        count -= len(times)
         order = np.argsort(times, kind="stable")
         yield times[order].tolist(), np.concatenate(classes)[order].tolist()
     yield [horizon], [-1]
+
+
+def _two_sum(a, b):
+    """``a + b`` rounded, and the exact error of that rounding (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _exact_sums(addends: np.ndarray) -> np.ndarray:
+    """``math.fsum`` down every column of a 2-D array, bit for bit.
+
+    The rows go in order into a running sum with ``_two_sum``, and each
+    rounding error goes the same way into a compensation term. Where every
+    one of those second additions is exact as well, the sum plus the
+    compensation is the column's exact sum, and rounding it once gives the
+    correctly rounded result that ``math.fsum`` returns. The columns where
+    one is not exact are left to ``math.fsum``.
+    """
+    total = addends[0]
+    comp = np.zeros_like(total)
+    certified = np.ones(len(total), dtype=bool)
+    for k, row in enumerate(addends[1:]):
+        total, err = _two_sum(total, row)
+        if k:
+            comp, residue = _two_sum(comp, err)
+            certified &= residue == 0.0
+        else:
+            comp = err
+    total = total + comp
+    for i in np.flatnonzero(~certified):
+        total[i] = math.fsum(addends[:, i].tolist())
+    return total
+
+
+def _admission_policy(scenario: Scenario):
+    """The admission policy, as a function applied to successive arrival windows.
+
+    ``policy(times, classes)`` takes one window's arrays and returns
+    ``(limits, high)``: arrival j is admitted only while fewer than
+    ``limits[j]`` channels are busy, and ``high[j]`` says whether the
+    high-load mode is in force just before arrival j (``high[n]`` after the
+    window's last arrival). Neither depends on an admission, so a whole
+    window is computed ahead of the occupancy loop. The end-of-run marker,
+    class -1, gets limit 0 and is never admitted.
+
+    FIXED_GUARD always holds its fixed limits in the high-load mode, and
+    NON_PRIORITY the shared pool in light load. DYNAMIC replays the rate
+    estimator of :class:`~dynguard.traffic.RateEstimator` on every arrival,
+    with the same float operations in the same order: 1/gap clamped at
+    ``MIN_GAP`` (smoothed, if asked, by a sequential loop over the class's
+    arrivals), the exact total rate, and the cumulative-quota floor of
+    :func:`~dynguard.traffic.availability_thresholds` for the arriving
+    class. Until every class has an estimate the scheme stays on the shared
+    pool in light load.
+    """
+    params = scenario.params
+    m_count = params.class_count
+    capacity = params.capacity
+    fixed = scenario.scheme is Scheme.FIXED_GUARD
+    by_class = np.array((scenario.fixed_thresholds.limits if fixed else (capacity,) * m_count) + (0,))
+    if scenario.scheme is not Scheme.DYNAMIC:
+        return lambda times, classes: (by_class[classes], np.full(len(classes) + 1, fixed))
+
+    pool = params.reservable_pool
+    high_rate = params.high_load_rate
+    smoothing = scenario.smoothing
+    # Estimator state carried across windows, as _observe_gap keeps it: each
+    # class's latest arrival time and rate estimate, None until it has one.
+    last_seen: list[float | None] = [None] * m_count
+    estimates: list[float | None] = [None] * m_count
+    high_now = False
+
+    def policy(times, classes):
+        nonlocal high_now
+        n = len(classes)
+        rates = np.empty((m_count, n))  # each class's estimate after each arrival
+        ready = 0  # the first arrival after which every class has an estimate
+        for c in range(m_count):
+            mine = classes == c
+            arrived = times[mine]
+            # Arrivals of the class this window needs before it has an estimate.
+            needed = 0 if estimates[c] is not None else 1 if last_seen[c] is not None else 2
+            if needed:
+                at = np.flatnonzero(mine)
+                ready = max(ready, at[needed - 1] if len(at) >= needed else n)
+            inst = np.empty(0)
+            if len(arrived):
+                prev = arrived[:-1]
+                if last_seen[c] is not None:
+                    prev = np.concatenate(([last_seen[c]], prev))
+                inst = 1.0 / np.maximum(arrived[len(arrived) - len(prev):] - prev, MIN_GAP)
+                last_seen[c] = float(arrived[-1])
+            if smoothing is not None and len(inst):
+                smoothed = inst.tolist()
+                old = estimates[c]
+                for k, rate in enumerate(smoothed):
+                    if old is not None:
+                        rate = smoothing * rate + (1.0 - smoothing) * old
+                    smoothed[k] = old = rate
+                inst = np.array(smoothed)
+            # Row i holds the estimate after the class's latest arrival up to
+            # arrival i: entry k of [carried, after its 1st, ..., kth arrival],
+            # where a first-ever arrival leaves the (unused) carried value.
+            carried = 0.0 if estimates[c] is None else estimates[c]
+            after = np.concatenate(([carried] * (1 + len(arrived) - len(inst)), inst))
+            rates[c] = after[np.cumsum(mine)]
+            if len(inst):
+                estimates[c] = float(inst[-1])
+        total = _exact_sums(rates[:, ready:])
+        high = np.zeros(n + 1, dtype=bool)
+        high[0] = high_now
+        high[ready + 1:] = total >= high_rate
+        high_now = bool(high[n])
+        limits = by_class[classes]
+        # A high-load arrival of class 2..M loses the floor of the quotas
+        # reserved by the classes above it, summed in class order.
+        cls = classes[ready:]
+        cut = high[ready + 1:] & (cls > 0)
+        if cut.any():
+            cum = np.zeros(n - ready)
+            reserved = np.zeros(n - ready)
+            for c in range(1, m_count):
+                cum += rates[c - 1, ready:] / total * pool
+                np.copyto(reserved, cum, where=cls == c)
+            np.copyto(
+                limits[ready:], capacity - np.floor(reserved + _FLOOR_SLACK),
+                casting="unsafe", where=cut,
+            )
+        return limits, high
+
+    return policy
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """``total + values[0] + values[1] + ...``, one rounding per addition, in order.
+
+    ``cumsum`` is a sequential ``add.accumulate``; ``np.sum`` adds pairwise
+    and would round differently.
+    """
+    if not len(values):
+        return total
+    return float(np.cumsum(np.concatenate(([total], values)))[-1])
+
+
+class _Tally:
+    """Post-warmup statistics, added up window by window.
+
+    Every float is the sum the per-event loop would build: the same
+    products and differences, added with :func:`_add_in_order` in event
+    order, with occupancy-time split at segment ends exactly where a walk
+    from event to event splits it. A span that lies before the warmup or
+    between simultaneous events counts as zero, and adding zero to a sum
+    leaves it bitwise unchanged, so no event needs to be dropped.
+    """
+
+    def __init__(self, scenario: Scenario, starts, seg_ends):
+        self.capacity = scenario.params.capacity
+        self.m_count = scenario.params.class_count
+        self.horizon = scenario.horizon
+        self.warmup = scenario.warmup
+        self.starts = np.array(starts)
+        self.ends = np.array(seg_ends)
+        # Post-warmup offered and blocked counts per segment and class.
+        self.offered = np.zeros((len(starts), self.m_count), dtype=np.int64)
+        self.blocked = np.zeros_like(self.offered)
+        self.seg_busy = [0.0] * len(starts)
+        self.busy_time = 0.0
+        self.light_time = 0.0
+        self.high_time = 0.0
+        self.prev_t = 0.0
+        self.occupied = 0
+        self.events = 0  # window entries and departures, the end marker included
+        self.trace = [] if scenario.record_trace else None
+
+    def add(self, times, classes, admitted, departures, high, time_list):
+        """Account for one window.
+
+        ``times``/``classes`` are the window's arrivals (``time_list`` the
+        same times as Python floats), ``admitted`` their decisions,
+        ``departures`` the departure times processed during the window, in
+        order, and ``high`` the modes from the admission policy.
+        """
+        d = len(departures)
+        joined = np.concatenate((departures, times))
+        # A stable merge of two sorted runs, departures first on ties.
+        order = np.argsort(joined, kind="stable")
+        t = joined[order]
+        step = np.concatenate((np.full(d, -1.0), admitted))[order]
+        occ = np.cumsum(step)
+        occ -= step
+        occ += self.occupied  # occupancy before each event, a whole float
+        self.occupied = int(occ[-1] + step[-1])
+        lo = np.empty_like(t)
+        lo[0] = self.prev_t
+        lo[1:] = t[:-1]
+        self.prev_t = float(t[-1])
+        np.maximum(lo, self.warmup, out=lo)
+        span = t - lo
+        np.maximum(span, 0.0, out=span)
+        busy = occ * span
+        self.busy_time = _add_in_order(self.busy_time, busy)
+        if high.all():
+            self.high_time = _add_in_order(self.high_time, span)
+        elif not high.any():
+            self.light_time = _add_in_order(self.light_time, span)
+        else:
+            # The mode in force up to each event is the one after the
+            # arrivals ahead of it; entry p is arrival order[p] - d or
+            # departure order[p], with p - order[p] arrivals ahead.
+            ahead = order - d
+            ahead[ahead < 0] = np.flatnonzero(ahead < 0) - order[ahead < 0]
+            high_span = span * high[ahead]
+            self.high_time = _add_in_order(self.high_time, high_span)
+            self.light_time = _add_in_order(self.light_time, span - high_span)
+
+        ends = self.ends
+        if len(ends) > 1:  # else the one segment's busy time is busy_time
+            self._split_at_segment_ends(t, lo, occ, busy)
+
+        measured = times >= self.warmup
+        measured &= classes >= 0  # not the end marker
+        if measured.any():
+            seg = np.searchsorted(ends, times[measured], side="right")
+            # Per segment and class: [blocked, admitted] counts.
+            key = (seg * self.m_count + classes[measured]) * 2 + admitted[measured]
+            counts = np.bincount(key, minlength=2 * self.offered.size)
+            counts = counts.reshape(*self.offered.shape, 2)
+            self.offered += counts.sum(axis=2)
+            self.blocked += counts[:, :, 0]
+
+        self.events += len(joined)
+        if self.trace is not None:
+            self.trace.extend(zip(time_list, (classes + 1).tolist(), admitted.tolist()))
+
+    def _split_at_segment_ends(self, t, lo, occ, busy):
+        """Add each event's occupancy-time over (lo, t] to the segments it spans.
+
+        ``busy`` is overwritten. A span that passes the end of the segment
+        holding lo keeps the piece up to that end, and each later segment
+        it reaches gets its piece ahead of its own events, as a walk from
+        event to event splits it.
+        """
+        ends = self.ends.tolist()
+        last = len(ends) - 1
+        seg = np.minimum(np.searchsorted(self.ends, lo, side="right"), last)
+        leading: dict[int, list[float]] = {}
+        for i in np.flatnonzero(t > self.ends[seg]).tolist():
+            k, end, held = int(seg[i]), float(t[i]), float(occ[i])
+            busy[i] = held * (ends[k] - float(lo[i]))
+            while end > ends[k]:
+                k += 1
+                upto = end if end < ends[k] else ends[k]
+                leading.setdefault(k, []).append(held * (upto - ends[k - 1]))
+        heads = np.flatnonzero(np.diff(seg, prepend=-1))  # where each segment's events start
+        runs = dict(zip(seg[heads].tolist(), np.split(busy, heads[1:])))
+        for k in range(int(seg[0]), max(int(seg[-1]), max(leading, default=0)) + 1):
+            values = np.concatenate((leading.get(k, ()), runs.get(k, ())))
+            self.seg_busy[k] = _add_in_order(self.seg_busy[k], values)
+
+    def report(self) -> SimReport:
+        capacity = self.capacity
+        measured_time = self.horizon - self.warmup
+        seg_busy = self.seg_busy if len(self.seg_busy) > 1 else [self.busy_time]
+        seg_stats = []
+        for k, (start, end) in enumerate(zip(self.starts.tolist(), self.ends.tolist())):
+            win = max(0.0, end - max(start, self.warmup))
+            seg_stats.append(
+                SegmentStats(
+                    start=start,
+                    end=end,
+                    offered=tuple(self.offered[k].tolist()),
+                    blocked=tuple(self.blocked[k].tolist()),
+                    utilization=seg_busy[k] / (capacity * win) if win > 0 else 0.0,
+                    measured_time=win,
+                )
+            )
+        offered = tuple(self.offered.sum(axis=0).tolist())
+        blocked = tuple(self.blocked.sum(axis=0).tolist())
+        trace = self.trace
+        if trace is not None:
+            trace.pop()  # the end-of-run marker
+        return SimReport(
+            offered=offered,
+            blocked=blocked,
+            blocking=tuple(b / o if o > 0 else None for b, o in zip(blocked, offered)),
+            blocking_stderr=tuple(blocking_stderr(b, o) for b, o in zip(blocked, offered)),
+            utilization=self.busy_time / (capacity * measured_time),
+            light_time_fraction=self.light_time / measured_time,
+            high_time_fraction=self.high_time / measured_time,
+            event_count=self.events - 1,
+            segments=tuple(seg_stats),
+            trace=tuple(trace) if trace is not None else None,
+        )
 
 
 def run_simulation(scenario: Scenario) -> SimReport:
@@ -252,12 +571,7 @@ def run_simulation(scenario: Scenario) -> SimReport:
     params = scenario.params
     m_count = params.class_count
     capacity = params.capacity
-    pool = params.reservable_pool
-    high_rate = params.high_load_rate
     horizon = scenario.horizon
-    warmup = scenario.warmup
-    smoothing = scenario.smoothing
-    dynamic = scenario.scheme is Scheme.DYNAMIC
 
     # Segment table: end times, and each class's mean gap per segment (None
     # while silent).
@@ -270,147 +584,55 @@ def run_simulation(scenario: Scenario) -> SimReport:
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(m_count + 1)
-    arrivals = _arrival_windows(
+    windows = _arrival_windows(
         [
             _arrival_chunks(np.random.default_rng(s), gaps, seg_ends)
             for s, gaps in zip(child_seqs, class_gaps)
         ],
         horizon,
     )
-    holding_draws = _exponentials(np.random.default_rng(child_seqs[m_count]))
+    holding_rng = np.random.default_rng(child_seqs[m_count])
     holding_scale = 1.0 / params.service_rate
+    # Holding draws, fetched in blocks: ``standard_exponential(n)[i] * scale``
+    # is bitwise equal to the i-th of n successive ``exponential(scale)`` calls.
+    draws: list[float] = []
+    used = 0
     # Pending departure times; the infinite sentinel keeps deps[0] defined.
     deps = [math.inf]
-
-    # The schemes differ only in the limits in force: the shared pool, fixed
-    # guards, or (DYNAMIC) whatever the latest estimate implies.
-    if scenario.scheme is Scheme.FIXED_GUARD:
-        limits = scenario.fixed_thresholds.limits
-        mode_high = True
-    else:
-        limits = (capacity,) * m_count
-        mode_high = False
-    # DYNAMIC estimator state for _observe_gap: each class's last arrival
-    # time, its 1/gap estimate, and how many classes have no gap yet.
-    last_seen: list[float | None] = [None] * m_count
-    estimates: list[float | None] = [None] * m_count
-    missing = m_count
-
-    seg_offered = [[0] * m_count for _ in seg_ends]
-    seg_blocked = [[0] * m_count for _ in seg_ends]
-    seg_busy = [0.0] * len(seg_ends)
-    busy_time = 0.0
-    light_time = 0.0
-    high_time = 0.0
     occupied = 0
-    admitted_total = 0
-    departed_total = 0
-    arrived = 0  # window entries, the end marker included
-    trace: list[tuple[float, int, bool]] | None = [] if scenario.record_trace else None
+    policy = _admission_policy(scenario)
+    tally = _Tally(scenario, starts, seg_ends)
 
-    prev_t = 0.0
-    # Segment of the latest arrival; every later event time is at or past its start.
-    seg = 0
-
-    for times, classes in arrivals:
-        arrived += len(times)
-        for na, idx in zip(times, classes):
-            # Departures at or before the next arrival go first; the end
-            # marker sits at the horizon, so departures there still count.
-            while True:
-                departing = deps[0] <= na
-                t = heappop(deps) if departing else na
-                # Accumulate occupancy-time over (prev_t, t] clipped to the
-                # measurement window, split across schedule segments.
-                lo = prev_t if prev_t > warmup else warmup
-                if t > lo:
-                    span = t - lo
-                    busy_time += occupied * span
-                    if mode_high:
-                        high_time += span
-                    else:
-                        light_time += span
-                    if t <= seg_ends[seg]:
-                        # lo lies in segment seg too, so the walk below
-                        # would add this same product.
-                        seg_busy[seg] += occupied * span
-                    else:
-                        x = lo
-                        k = seg
-                        while x < t:
-                            while seg_ends[k] <= x:
-                                k += 1
-                            upto = t if t < seg_ends[k] else seg_ends[k]
-                            seg_busy[k] += occupied * (upto - x)
-                            x = upto
-                prev_t = t
-                if not departing:
-                    break
+    for times, classes in windows:
+        n = len(times)
+        times_arr = np.fromiter(times, float, n)
+        classes_arr = np.fromiter(classes, np.int64, n)
+        limits, high = policy(times_arr, classes_arr)
+        # Enough holding draws for every arrival of the window to be admitted.
+        while len(draws) - used < n:
+            draws = draws[used:] + holding_rng.standard_exponential(_DRAW_BLOCK).tolist()
+            used = 0
+        decisions = bytearray()  # one 0/1 byte per arrival
+        departures = []
+        for t, limit in zip(times, limits.tolist()):
+            # Departures at or before this arrival go first; the end marker
+            # sits at the horizon, so departures there still count.
+            while deps[0] <= t:
+                departures.append(heappop(deps))
                 occupied -= 1
-                departed_total += 1
                 assert occupied >= 0
-            if idx < 0:  # end-of-run marker
-                break
-            while seg_ends[seg] <= t:
-                seg += 1
-
-            # Arrival of class idx+1 inside segment seg.
-            limit = limits[idx]
-            if dynamic:
-                if _observe_gap(last_seen, estimates, idx, t, smoothing):
-                    missing -= 1
-                # Until every class has two arrivals the gap estimates are
-                # undefined; the scheme stays on the shared pool. Only this
-                # arrival's own limit decides its admission, and class 1's
-                # is always the capacity.
-                if not missing:
-                    lam_total = math.fsum(estimates)
-                    mode_high = lam_total >= high_rate
-                    if mode_high and idx:
-                        limit = _class_limit(estimates, lam_total, capacity, pool, idx)
-
             admitted = occupied < limit
-            measured = t >= warmup
-            if measured:
-                seg_offered[seg][idx] += 1
+            decisions.append(admitted)
             if admitted:
                 occupied += 1
-                admitted_total += 1
                 assert occupied <= capacity
-                heappush(deps, t + next(holding_draws) * holding_scale)
-            elif measured:
-                seg_blocked[seg][idx] += 1
-            if trace is not None:
-                trace.append((t, idx + 1, admitted))
-
-    assert admitted_total - departed_total == occupied
-
-    measured_time = horizon - warmup
-    seg_stats = []
-    for k, (start, end) in enumerate(zip(starts, seg_ends)):
-        win = max(0.0, end - max(start, warmup))
-        seg_stats.append(
-            SegmentStats(
-                start=start,
-                end=end,
-                offered=tuple(seg_offered[k]),
-                blocked=tuple(seg_blocked[k]),
-                utilization=seg_busy[k] / (capacity * win) if win > 0 else 0.0,
-                measured_time=win,
-            )
+                heappush(deps, t + draws[used] * holding_scale)
+                used += 1
+        tally.add(
+            times_arr, classes_arr, np.frombuffer(decisions, dtype=bool),
+            np.fromiter(departures, float, len(departures)), high, times,
         )
-    offered = tuple(map(sum, zip(*seg_offered)))
-    blocked = tuple(map(sum, zip(*seg_blocked)))
 
-    return SimReport(
-        offered=offered,
-        blocked=blocked,
-        blocking=tuple(b / o if o > 0 else None for b, o in zip(blocked, offered)),
-        blocking_stderr=tuple(blocking_stderr(b, o) for b, o in zip(blocked, offered)),
-        utilization=busy_time / (capacity * measured_time),
-        light_time_fraction=light_time / measured_time,
-        high_time_fraction=high_time / measured_time,
-        event_count=arrived - 1 + departed_total,
-        segments=tuple(seg_stats),
-        trace=tuple(trace) if trace is not None else None,
-    )
+    # The tally's admissions minus departures must leave the loop's occupancy.
+    assert tally.occupied == occupied
+    return tally.report()

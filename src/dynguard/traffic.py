@@ -159,8 +159,9 @@ def _class_limit(vec, lam_total: float, capacity: int, pool: int, idx: int) -> i
     """Availability limit of class ``idx + 1`` from validated rates and their fsum.
 
     The classes above it reserve the running sum of their quotas, floored.
-    :func:`availability_thresholds` and the simulator's per-arrival
-    recomputation both call this, so they always agree.
+    The simulator's admission policy repeats these float operations on
+    whole arrays, and a test replays its decisions through
+    :func:`availability_thresholds`.
     """
     cum = 0.0
     for lam in vec[:idx]:
@@ -194,8 +195,9 @@ def _observe_gap(
 
     Both lists are updated in place; the estimate changes from the second
     arrival on. Returns True when this arrival gives the class its first
-    estimate. :class:`RateEstimator` and the simulator's event loop both
-    call this, so the gap clamp and the smoothing blend live only here.
+    estimate. The simulator's admission policy repeats the gap clamp and
+    the smoothing blend on whole arrays, and a test replays its decisions
+    through :class:`RateEstimator`.
     """
     prev = last_seen[idx]
     last_seen[idx] = t
@@ -219,7 +221,6 @@ class RateEstimator:
     timestamps colliding) are clamped to ``MIN_GAP``. With ``smoothing`` set
     to a factor s in (0, 1], an estimate is an exponentially weighted average
     of the instantaneous rates, not of the gaps: new = s*(1/gap) + (1 - s)*old.
-    The simulator's event loop calls the same update function on plain lists.
     """
 
     priors: tuple[float, ...]

@@ -175,6 +175,22 @@ def test_simulation_needs_a_seed_at_construction(tmp_path):
         replace(analytic, sim_enabled=True)
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        (dict(mix=(0.5, 0.3, 0.3)), "mix"),  # offers 1.1 times the stated load
+        (dict(mix=(1.5, -0.3, -0.2)), "mix"),  # sums to 1 with entries outside [0, 1]
+        (dict(grid=(20.0, 44.0, 20.0)), "grid"),
+        (dict(sim_seeds=(1, 1)), "sim_seeds"),
+        (dict(schemes=(Scheme.DYNAMIC, Scheme.NON_PRIORITY, Scheme.DYNAMIC)), "schemes"),
+    ],
+)
+def test_construction_repeats_the_load_checks(tmp_path, change, field):
+    cfg = load_config(write(tmp_path, FULL))
+    with pytest.raises(ValueError, match=field):
+        replace(cfg, **change)
+
+
 def test_garbled_line(tmp_path):
     with pytest.raises(ConfigError, match="key = value"):
         load_config(write(tmp_path, "capacity 10\n"))

@@ -165,6 +165,12 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             small_scenario(scheme=Scheme.NON_PRIORITY)
 
+    def test_smoothing_only_for_dynamic(self):
+        with pytest.raises(ValueError, match="smoothing"):
+            small_scenario(smoothing=0.1)
+        with pytest.raises(ValueError, match="smoothing"):
+            small_scenario(scheme=Scheme.NON_PRIORITY, fixed_thresholds=None, smoothing=0.1)
+
     def test_threshold_capacity_must_match(self):
         with pytest.raises(ValueError):
             small_scenario(fixed_thresholds=ThresholdVector((5, 3, 2)))
@@ -449,8 +455,7 @@ class TestArrivalStreams:
         ]
         windows = list(_arrival_windows(streams, 9.0))
         assert windows == [
-            ([1.0, 1.0, 1.5, 2.0, 2.5], [0, 2, 2, 0, 2]),
-            ([4.5, 4.5, 6.0], [0, 2, 2]),
+            ([1.0, 1.0, 1.5, 2.0, 2.5, 4.5, 4.5, 6.0], [0, 2, 2, 0, 2, 0, 2, 2]),
             ([9.0], [-1]),
         ]
 
