@@ -7,6 +7,10 @@ that chain, solves it two independent ways (a stable ratio recursion and a
 dense linear solve used as a cross-check), and turns the distribution into
 per-class blocking probabilities and utilization. The classic single-rate
 loss formula is included as the non-priority baseline.
+
+A chain stays a numpy array from its rates to its report
+(:func:`_point_report`); the public functions, whose types hold tuples,
+call the same helpers.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .traffic import (
     LoadCondition,
     SystemParams,
     ThresholdVector,
+    _rate_sum,
     as_rate_vector,
     availability_thresholds,
     classify_load,
@@ -51,6 +56,28 @@ def _exact_sum(a: np.ndarray) -> float:
     return math.fsum(np.sort(a[a != 0])[::-1].tolist())
 
 
+def _check_chain(birth_rates, service_rate) -> None:
+    """The checks of :class:`BirthDeathChain`, on a tuple or an array of birth rates."""
+    if not 0 < service_rate <= sys.float_info.max:
+        raise ValueError(f"service_rate must be positive and finite, got {service_rate}")
+    b = _float_array(birth_rates)
+    bad = np.flatnonzero(~((b >= 0) & (b < math.inf)))
+    if bad.size:
+        raise ValueError(f"birth rates must be finite and non-negative, got {birth_rates[bad[0]]}")
+    if (b[:-1] < b[1:]).any():
+        raise ValueError("birth rates must be non-increasing in occupancy")
+
+
+def _check_distribution(probabilities) -> None:
+    """The checks of :class:`SteadyStateDistribution`, on a tuple or an array."""
+    if not len(probabilities):
+        raise ValueError("a distribution needs at least one state")
+    p = _float_array(probabilities)
+    bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))
+    if bad.size:
+        raise ValueError(f"state probability out of range: {probabilities[bad[0]]}")
+
+
 @dataclass(frozen=True)
 class BirthDeathChain:
     """Occupancy chain: ``birth_rates[i]`` applies at state i, deaths are i*mu.
@@ -63,14 +90,7 @@ class BirthDeathChain:
     service_rate: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.service_rate <= sys.float_info.max:
-            raise ValueError(f"service_rate must be positive and finite, got {self.service_rate}")
-        b = _float_array(self.birth_rates)
-        bad = np.flatnonzero(~((b >= 0) & (b < math.inf)))
-        if bad.size:
-            raise ValueError(f"birth rates must be finite and non-negative, got {self.birth_rates[bad[0]]}")
-        if (b[:-1] < b[1:]).any():
-            raise ValueError("birth rates must be non-increasing in occupancy")
+        _check_chain(self.birth_rates, self.service_rate)
 
     @property
     def capacity(self) -> int:
@@ -84,25 +104,18 @@ class SteadyStateDistribution:
     probabilities: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.probabilities:
-            raise ValueError("a distribution needs at least one state")
-        p = _float_array(self.probabilities)
-        bad = np.flatnonzero(~((p >= -1e-9) & (p <= 1 + 1e-9)))
-        if bad.size:
-            raise ValueError(f"state probability out of range: {self.probabilities[bad[0]]}")
+        _check_distribution(self.probabilities)
 
     @property
     def capacity(self) -> int:
         return len(self.probabilities) - 1
 
     def tail(self, start: int) -> float:
-        """Probability of occupancy >= ``start``; fsum over the nonzero terms, largest
-        first, is correctly rounded, so it is the float an index-order fsum gives."""
+        """Probability of occupancy >= ``start``; see :func:`_exact_sum`."""
         return _exact_sum(np.asarray(self.probabilities[start:]))
 
     def mean_occupancy(self) -> float:
-        """Sum of i * P_i; fsum over the nonzero terms, largest first, is correctly
-        rounded, so it is the float an index-order fsum gives."""
+        """Sum of i * P_i; see :func:`_exact_sum`."""
         return _exact_sum(np.arange(len(self.probabilities)) * self.probabilities)
 
 
@@ -116,23 +129,22 @@ class BlockingReport:
     mean_occupancy: float
 
 
-def build_chain(thresholds: ThresholdVector, rates, service_rate: float) -> BirthDeathChain:
-    """Birth-death chain for frozen availability limits.
+def _births(limits: tuple[int, ...], vec: tuple[float, ...]) -> np.ndarray:
+    """Birth rate at each occupancy 0..limits[0]-1 for frozen availability limits.
 
     Class m is admitted while occupancy i < limits[m-1], so the states
     limits[m] <= i < limits[m-1] (limits[M] = 0) admit exactly classes 1..m.
     Each such run gets one ``math.fsum`` over that prefix; fsum is correctly
     rounded, so this is the float a per-state sum over the admitted classes gives.
     """
-    vec = as_rate_vector(rates, thresholds.class_count)
-    bounds = thresholds.limits + (0,)
-    births: list[float] = []
+    bounds = limits + (0,)
+    births = np.empty(limits[0])
     for m in range(len(vec), 0, -1):
-        births += [math.fsum(vec[:m])] * (bounds[m - 1] - bounds[m])
-    return BirthDeathChain(tuple(births), float(service_rate))
+        births[bounds[m] : bounds[m - 1]] = _rate_sum(vec[:m])
+    return births
 
 
-def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
+def _distribution(births: np.ndarray, service_rate) -> np.ndarray:
     """Stationary distribution by the ratio recursion w_i = w_{i-1} * (birth_{i-1} / (i*mu)).
 
     Dividing first keeps the product finite at huge rates. ``np.multiply.accumulate``
@@ -140,12 +152,11 @@ def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
     ``_RESCALE_LIMIT``, the prefix is scaled by its reciprocal and the accumulate
     restarts from the rescaled weight, so every weight is bitwise that of a loop
     that rescales in place; products past that point may overflow and are overwritten.
-    The normalising total is fsum over the nonzero weights, largest first; fsum is
-    correctly rounded in any order, so it is the float an index-order fsum gives.
+    The normalising total is :func:`_exact_sum`.
     """
-    n = chain.capacity
+    n = births.size
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.asarray(chain.birth_rates, dtype=float) / (np.arange(1.0, n + 1) * chain.service_rate)
+        ratios = births / (np.arange(1.0, n + 1) * service_rate)
         w = np.multiply.accumulate(np.concatenate(([1.0], ratios)))
         i = 0
         while (over := np.flatnonzero(w[i + 1 :] > _RESCALE_LIMIT)).size:
@@ -153,7 +164,61 @@ def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
             w[: i + 1] *= 1.0 / w[i]
             w[i + 1 :] = ratios[i:]
             np.multiply.accumulate(w[i:], out=w[i:])
-    return SteadyStateDistribution(tuple((w / _exact_sum(w)).tolist()))
+    return w / _exact_sum(w)
+
+
+def _chain_report(p: np.ndarray, limits: tuple[int, ...]) -> BlockingReport:
+    """Per-class blocking and channel use from a stationary distribution.
+
+    A class-m arrival is blocked exactly when occupancy has reached its
+    limit, so its blocking probability is the tail sum of the distribution
+    from that limit. Utilization is mean occupancy over capacity. In
+    erlangs, flow balance makes the carried load equal the mean occupancy;
+    summing the admitted flows instead cancels at heavy load.
+    """
+    mean_occ = _exact_sum(np.arange(p.size) * p)
+    n = p.size - 1
+    return BlockingReport(
+        blocking=tuple(_exact_sum(p[lim:]) for lim in limits),
+        utilization=mean_occ / n if n else 0.0,
+        carried_load=mean_occ,
+        mean_occupancy=mean_occ,
+    )
+
+
+def _point_report(params: SystemParams, limits: tuple[int, ...] | None, rates) -> BlockingReport:
+    """Report of one configuration: the shared pool when ``limits`` is None, else the
+    chain those availability limits freeze, on arrays from its births to its report."""
+    if limits is None:
+        return nonpriority_report(params, rates)
+    births = _births(limits, as_rate_vector(rates, len(limits)))
+    service_rate = float(params.service_rate)
+    _check_chain(births, service_rate)
+    p = _distribution(births, service_rate)
+    _check_distribution(p)
+    return _chain_report(p, limits)
+
+
+def _dynamic_limits(params: SystemParams, rates) -> tuple[int, ...] | None:
+    """The limits the dynamic scheme freezes at ``rates``: the recomputed
+    thresholds under high load, the shared pool (None) under light load."""
+    if classify_load(rates, params) is LoadCondition.HIGH:
+        return availability_thresholds(rates, params).limits
+    return None
+
+
+def build_chain(thresholds: ThresholdVector, rates, service_rate: float) -> BirthDeathChain:
+    """Birth-death chain for frozen availability limits; see :func:`_births`."""
+    vec = as_rate_vector(rates, thresholds.class_count)
+    # float() of an int beyond the float range raises OverflowError; the chain's check names it.
+    mu = float(service_rate) if abs(service_rate) <= sys.float_info.max else service_rate
+    return BirthDeathChain(tuple(_births(thresholds.limits, vec).tolist()), mu)
+
+
+def steady_state(chain: BirthDeathChain) -> SteadyStateDistribution:
+    """Stationary distribution by the ratio recursion; see :func:`_distribution`."""
+    p = _distribution(np.asarray(chain.birth_rates, dtype=float), chain.service_rate)
+    return SteadyStateDistribution(tuple(p.tolist()))
 
 
 def steady_state_oracle(chain: BirthDeathChain) -> SteadyStateDistribution:
@@ -189,29 +254,16 @@ def blocking_report(
     rates,
     service_rate: float,
 ) -> BlockingReport:
-    """Per-class blocking and utilization from a stationary distribution.
-
-    A class-m arrival is blocked exactly when occupancy has reached its
-    limit, so its blocking probability is the tail sum of the distribution
-    from that limit. Utilization is mean occupancy over capacity; carried
-    load is the admitted flow in erlangs.
-    """
+    """Per-class blocking and utilization from a stationary distribution; see
+    :func:`_chain_report`. ``rates`` must give one rate per class; neither they
+    nor ``service_rate`` enter the report, since the carried load in erlangs
+    is the mean occupancy."""
     if dist.capacity != thresholds.capacity:
         raise ValueError(
             f"distribution has capacity {dist.capacity}, thresholds {thresholds.capacity}"
         )
-    vec = as_rate_vector(rates, thresholds.class_count)
-    blocking = tuple(dist.tail(lim) for lim in thresholds.limits)
-    mean_occ = dist.mean_occupancy()
-    carried = math.fsum(
-        lam * (1.0 - b) for lam, b in zip(vec, blocking)
-    ) / float(service_rate)
-    return BlockingReport(
-        blocking=blocking,
-        utilization=mean_occ / dist.capacity if dist.capacity else 0.0,
-        carried_load=carried,
-        mean_occupancy=mean_occ,
-    )
+    as_rate_vector(rates, thresholds.class_count)
+    return _chain_report(np.asarray(dist.probabilities), thresholds.limits)
 
 
 def erlang_b(channels: int, offered: float) -> float:
@@ -238,7 +290,7 @@ def nonpriority_report(params: SystemParams, rates) -> BlockingReport:
     produced here so the two coincide bit-for-bit.
     """
     vec = as_rate_vector(rates, params.class_count)
-    offered = math.fsum(vec) / params.service_rate
+    offered = _rate_sum(vec) / params.service_rate
     n = params.capacity
     # The recursion's last step, B(N) = a*B(N-1) / (N + a*B(N-1)), also gives
     # 1 - B(N) = N / (N + a*B(N-1)) without a subtraction that cancels to 0
@@ -265,19 +317,11 @@ def quasi_stationary_curve(
     on how well this frozen-threshold approximation tracks the live scheme.
     """
     mix_vec = as_rate_vector(mix, params.class_count)
-    if abs(math.fsum(mix_vec) - 1.0) > 1e-9:
-        raise ValueError(f"mix proportions must sum to 1, got {math.fsum(mix_vec)!r}")
-    points = [float(g) for g in grid]
+    if abs(_rate_sum(mix_vec) - 1.0) > 1e-9:
+        raise ValueError(f"mix proportions must sum to 1, got {_rate_sum(mix_vec)!r}")
+    points = tuple(grid)
     for g in points:
-        if not (math.isfinite(g) and g > 0):
-            raise ValueError(f"grid points must be positive, got {g!r}")
-    reports = []
-    for lam_total in points:
-        rates = tuple(p * lam_total for p in mix_vec)
-        if classify_load(rates, params) is LoadCondition.HIGH:
-            thresholds = availability_thresholds(rates, params)
-            chain = build_chain(thresholds, rates, params.service_rate)
-            reports.append(blocking_report(steady_state(chain), thresholds, rates, params.service_rate))
-        else:
-            reports.append(nonpriority_report(params, rates))
-    return reports
+        if not 0 < g <= sys.float_info.max:
+            raise ValueError(f"grid points must be positive and finite, got {g!r}")
+    curve = (tuple(p * float(g) for p in mix_vec) for g in points)
+    return [_point_report(params, _dynamic_limits(params, rates), rates) for rates in curve]

@@ -21,6 +21,9 @@ from pathlib import Path
 from .config import _CSV_REAL, SweepConfig
 from .markov import (
     BlockingReport,
+    _dynamic_limits,
+    _point_report,
+    # Not called here; perfbench/tracing.py patches these names in this module.
     blocking_report,
     build_chain,
     nonpriority_report,
@@ -59,17 +62,13 @@ class SweepError(RuntimeError):
     """Evaluation failure, annotated with the grid point that caused it."""
 
 
-def _analytic_report(
-    config: SweepConfig, scheme: Scheme, lam_total: float, rates: tuple[float, ...]
-) -> BlockingReport:
-    params = config.params
+def _limits(config: SweepConfig, scheme: Scheme, rates: tuple[float, ...]) -> tuple[int, ...] | None:
+    """The availability limits ``scheme`` holds at ``rates``; None is the shared pool."""
     if scheme is Scheme.DYNAMIC:
-        return quasi_stationary_curve(params, config.mix, [lam_total])[0]
+        return _dynamic_limits(config.params, rates)
     if scheme is Scheme.NON_PRIORITY:
-        return nonpriority_report(params, rates)
-    thresholds = config.fixed_thresholds
-    chain = build_chain(thresholds, rates, params.service_rate)
-    return blocking_report(steady_state(chain), thresholds, rates, params.service_rate)
+        return None
+    return config.fixed_thresholds.limits
 
 
 def _simulate(scenario: Scenario) -> tuple[tuple[int, ...], tuple[int, ...], float]:
@@ -115,17 +114,24 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     The analytic reports and the simulation scenarios of every point are
     made here first, then the runs go through :func:`_simulated` and are
     pooled per point in sweep order, so the rows do not depend on where
-    they ran. A failure names the first grid point, in sweep order, that
-    failed.
+    they ran. Schemes that hold the same limits at the same rates share one
+    report, as light dynamic points share the shared pool's. A failure
+    names the first grid point, in sweep order, that failed.
     """
     points = []  # (scheme, lam_total, analytic blocking, analytic utilization, mode)
     scenarios: list[Scenario] = []
+    reports: dict[tuple, BlockingReport] = {}  # by (limits, rates)
     failure = None
     for scheme, lam_total in product(sorted(config.schemes, key=lambda s: s.value), config.grid):
         try:
+            if not 0 < lam_total <= sys.float_info.max:
+                raise ValueError(f"grid points must be positive and finite, got {lam_total!r}")
             rates = tuple(m * lam_total for m in config.mix)
             mode = classify_load(rates, config.params).value
-            report = _analytic_report(config, scheme, lam_total, rates)
+            key = (_limits(config, scheme, rates), rates)
+            if key not in reports:
+                reports[key] = _point_report(config.params, *key)
+            report = reports[key]
             pooled = math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
             if config.sim_enabled:
                 scenarios += [

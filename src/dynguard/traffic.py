@@ -143,9 +143,18 @@ def as_rate_vector(rates, class_count: int | None = None) -> RateVector:
     return tuple(map(float, vec))
 
 
+def _rate_sum(vec: RateVector) -> float:
+    """``math.fsum`` of validated rates, with the ValueError that names them
+    where a sum beyond the float range makes fsum raise OverflowError."""
+    try:
+        return math.fsum(vec)
+    except OverflowError:
+        raise ValueError(f"the sum of {vec} is beyond the float range") from None
+
+
 def total_arrival_rate(rates) -> float:
     """Sum of all per-class arrival rates."""
-    return math.fsum(as_rate_vector(rates))
+    return _rate_sum(as_rate_vector(rates))
 
 
 def classify_load(rates, params: SystemParams) -> LoadCondition:
@@ -179,7 +188,7 @@ def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
     the fractional remainder available to lower classes.
     """
     vec = as_rate_vector(rates, params.class_count)
-    lam_total = math.fsum(vec)
+    lam_total = _rate_sum(vec)
     if lam_total == 0.0:
         raise ZeroTotalRateError("availability thresholds undefined at zero total rate")
     pool = params.reservable_pool

@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -239,8 +240,22 @@ class TestBlockingReport:
             chain, tv, rates, mu = random_chain(rng)
             rep = blocking_report(steady_state(chain), tv, rates, mu)
             assert all(a <= b for a, b in zip(rep.blocking, rep.blocking[1:]))
+            assert rep.carried_load == rep.mean_occupancy
             if rep.mean_occupancy > 0:
-                assert rep.carried_load == pytest.approx(rep.mean_occupancy, rel=1e-9)
+                admitted = math.fsum(lam * (1.0 - b) for lam, b in zip(rates, rep.blocking)) / mu
+                assert admitted == pytest.approx(rep.mean_occupancy, rel=1e-9)
+        # Up to 1e20 erlangs on 40 channels. The admitted flow sum(lam * (1 - B))
+        # still matches at 1e6; from 1e9 on it cancels as every B nears 1.
+        params, mix = SystemParams(40, 20), (0.4, 0.3, 0.3)
+        for lam_total in [1e3, 1e6, 1e9, 1e12, 1e17, 1e20]:
+            rep = quasi_stationary_curve(params, mix, [lam_total])[0]
+            assert rep.carried_load == rep.mean_occupancy
+            assert 39 < rep.mean_occupancy <= 40
+            if lam_total <= 1e6:
+                admitted = math.fsum(m * lam_total * (1.0 - b) for m, b in zip(mix, rep.blocking))
+                assert admitted == pytest.approx(rep.mean_occupancy, rel=1e-9)
+            if lam_total >= 1e17:
+                assert rep.blocking == pytest.approx((1.0,) * 3, rel=1e-12)
 
     def test_load_scale_invariance(self):
         # same offered erlangs, different absolute time scale
@@ -318,6 +333,19 @@ class TestQuasiStationaryCurve:
     def test_grid_must_be_positive(self):
         with pytest.raises(ValueError):
             quasi_stationary_curve(self.PARAMS, self.MIX, [4.0, 0.0])
+
+    def test_reservation_trades_utilization_for_class_1_blocking(self):
+        # N=40, mix 0.4/0.3/0.3, high load throughout: a larger common floor C
+        # reserves less, so utilization and class-1 blocking both rise with C,
+        # up to the shared pool at C = N (equal to the last ulp or two).
+        mix = (0.4, 0.3, 0.3)
+        for lam_total in range(44, 81, 2):
+            curve = [quasi_stationary_curve(SystemParams(40, c), mix, [lam_total])[0] for c in range(41)]
+            pool = nonpriority_report(SystemParams(40, 40), tuple(m * lam_total for m in mix))
+            for field in (lambda r: r.utilization, lambda r: r.blocking[0]):
+                values = [field(r) for r in curve]
+                assert all(a <= b for a, b in zip(values, values[1:]))
+                assert values[-1] == pytest.approx(field(pool), rel=1e-12)
 
     def test_top_class_beats_shared_pool_under_high_load(self):
         params = SystemParams(20, 10)
@@ -439,6 +467,27 @@ def test_erlang_b_matches_the_textbook_form():
     cases += [(40, 1e-300), (40, 1e300), (5000, 7500.0), (3, 0.0)]
     for n, a in cases:
         assert same_float(erlang_b(n, a), textbook(n, a))
+
+
+_HUGE_RATES = (0.5 * sys.float_info.max, (0.5 + 1e-10) * sys.float_info.max)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: quasi_stationary_curve(SystemParams(40, 20), (0.4, 0.3, 0.3), [10**400]), str(10**400)),
+        (lambda: quasi_stationary_curve(SystemParams(40, 20, class_count=2), (0.5, 0.5 + 1e-10),
+                                        [sys.float_info.max]), str(_HUGE_RATES)),
+        (lambda: nonpriority_report(SystemParams(40, 20), (1e308,) * 3), str((1e308,) * 3)),
+        (lambda: build_chain(ThresholdVector((4, 3, 2)), (1e308,) * 3, 1.0), str((1e308,) * 3)),
+        (lambda: build_chain(ThresholdVector((4, 3, 2)), (1.0,) * 3, 10**400), str(10**400)),
+        (lambda: build_chain(ThresholdVector((4, 3, 2)), (1.0,) * 3, -(10**400)), str(-(10**400))),
+    ],
+    ids=["grid-int", "rates-sum", "pool-sum", "births-sum", "service-rate-int", "negative-service-rate-int"],
+)
+def test_values_beyond_the_float_range_raise_value_error(call, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        call()
 
 
 @pytest.mark.parametrize("make", [lambda v: BirthDeathChain((v,), 1.0), lambda v: SteadyStateDistribution((v,))])

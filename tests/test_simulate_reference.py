@@ -17,8 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynguard import Scenario, Scheme, SystemParams, ThresholdVector, run_simulation
-from dynguard.simulate import SegmentStats, SimReport, _arrival_chunks, _exact_sums, blocking_stderr
+from dynguard import Scenario, Scheme, SystemParams, ThresholdVector, availability_thresholds, run_simulation
+from dynguard.simulate import (
+    SegmentStats,
+    SimReport,
+    _admission_policy,
+    _arrival_chunks,
+    _exact_sums,
+    blocking_stderr,
+)
 from dynguard.traffic import MIN_GAP, _class_limit, _observe_gap
 
 
@@ -304,3 +311,24 @@ def test_exact_sums_equal_fsum(rows):
 )
 def test_exact_sums_edge_cases(rows):
     assert _fsum_bitwise(rows)
+
+
+def test_dynamic_mode_takes_the_exact_total_rate():
+    # Gaps of 2**-12, 2**41 and 2**41 give estimates whose exact sum is the
+    # HIGH boundary 2**12 + 2**-40; added one at a time they round down to
+    # 2**12, one ulp below it. Only the exact total turns the mode HIGH after
+    # the last arrival and cuts that class-3 arrival's limit.
+    boundary = 2.0**12 + 2.0**-40
+    params = SystemParams(10, 5, load_threshold=10 / boundary)
+    estimates = (2.0**12, 2.0**-41, 2.0**-41)
+    assert params.high_load_rate == boundary == math.fsum(estimates)
+    assert (estimates[0] + estimates[1]) + estimates[2] < boundary
+    scenario = Scenario(
+        params=params, schedule=((0.0, (1.0, 1.0, 1.0)),), horizon=2.0**42, seed=0, scheme=Scheme.DYNAMIC
+    )
+    times = np.array([0.0, 0.0, 1.0, 1.0 + 2.0**-12, 2.0**41, 2.0**41])
+    classes = np.array([1, 2, 0, 0, 1, 2])
+    limits, high = _admission_policy(scenario)(times, classes)
+    assert high.tolist() == [False] * 6 + [True]
+    assert limits.tolist() == [10] * 5 + [availability_thresholds(estimates, params).limits[2]]
+    assert limits[5] < 10

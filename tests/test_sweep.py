@@ -165,8 +165,8 @@ class TestRunSweep:
         assert len(within) / len(checked) >= 0.99
 
     def test_grid_point_context_on_failure(self):
-        # fixed-guard scheme with no thresholds, and a negative rate that
-        # fails in classify_load: each failure names the point
+        # fixed-guard scheme with no thresholds, and grid points that are not
+        # positive: each failure names the point
         cases = [
             (
                 SweepConfig(
@@ -186,6 +186,15 @@ class TestRunSweep:
                     schemes=(Scheme.NON_PRIORITY,),
                 ),
                 "^scheme=nonpriority lambda_total=-5: ",
+            ),
+            (
+                SweepConfig(
+                    params=SystemParams(10, 5),
+                    mix=(0.5, 0.3, 0.2),
+                    grid=(0.0,),
+                    schemes=(Scheme.DYNAMIC,),
+                ),
+                "^scheme=dynamic lambda_total=0: grid points must be positive and finite, got 0.0$",
             ),
         ]
         for cfg, context in cases:
@@ -357,18 +366,19 @@ class TestWorkerPool:
         ],
     )
     def test_first_failure_in_sweep_order_wins(self, monkeypatch, run_fails, analytic_fails, named):
-        # Runs fail in workers at every scheme's run_fails point; the fixed
-        # scheme's analytic report fails in this process at analytic_fails.
+        # Runs fail in workers at every scheme's run_fails point; the analytic
+        # report for the fixed scheme's limits fails in this process at
+        # analytic_fails (the dynamic scheme holds the same limits at 12).
         use_cpus(monkeypatch, 2)
         patch_runs(monkeypatch, fail_at=run_fails)
-        real = sweep.blocking_report
+        real = sweep._point_report
 
-        def patched(dist, thresholds, rates, service_rate):
-            if math.fsum(rates) == analytic_fails:
+        def patched(params, limits, rates):
+            if limits == POOLED_CFG.fixed_thresholds.limits and math.fsum(rates) == analytic_fails:
                 raise ValueError("bust")
-            return real(dist, thresholds, rates, service_rate)
+            return real(params, limits, rates)
 
-        monkeypatch.setattr(sweep, "blocking_report", patched)
+        monkeypatch.setattr(sweep, "_point_report", patched)
         with pytest.raises(SweepError, match=named):
             run_sweep(POOLED_CFG)
         assert multiprocessing.active_children() == []
