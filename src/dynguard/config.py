@@ -23,7 +23,6 @@ Recognized keys::
     sim.enabled      = false
     sim.arrivals     = 100000        # target post-warmup arrivals per run
     sim.seeds        = 1, 2, 3
-    sim.smoothing    = 0.1           # estimator smoothing in (0, 1]; omit for none
     out              = results.csv
 
 When the grid is omitted it defaults to 16 evenly spaced total rates from
@@ -107,13 +106,12 @@ _KEYS = {
     "sim.enabled": (_boolean, "a boolean"),
     "sim.arrivals": _INTEGER,
     "sim.seeds": _INTEGERS,
-    "sim.smoothing": _NUMBER,
     "out": (str, "text"),
 }
 
 _GRID_RANGE = ("grid.min", "grid.max", "grid.steps")
 # Keys that set the SweepConfig field of the same name with dots as underscores.
-_SIM_KEYS = ("sim.enabled", "sim.arrivals", "sim.seeds", "sim.smoothing")
+_SIM_KEYS = ("sim.enabled", "sim.arrivals", "sim.seeds")
 
 
 @dataclass(frozen=True)
@@ -128,12 +126,13 @@ class SweepConfig:
     sim_enabled: bool = False
     sim_arrivals: int = 100_000
     sim_seeds: tuple[int, ...] = (1,)
-    sim_smoothing: float | None = None
     out_path: str | None = None
 
     def __post_init__(self) -> None:
         # The checks load_config makes first, with line numbers, repeated for
         # a config built in code or by dataclasses.replace.
+        if len(self.mix) != self.params.class_count:
+            raise ValueError(f"mix gives {len(self.mix)} proportions for {self.params.class_count} classes")
         for m in self.mix:
             if not 0 <= m <= 1:
                 raise ValueError(f"mix proportions must be non-negative and at most 1, got {m!r}")
@@ -144,6 +143,17 @@ class SweepConfig:
             for k, value in enumerate(values):
                 if value in values[:k]:
                     raise ValueError(f"{name} lists {value!r} twice")
+        # Thresholds may stay set with 'fixed' off, but must fit the system.
+        limits = self.fixed_thresholds
+        if limits is None and Scheme.FIXED_GUARD in self.schemes:
+            raise ValueError("scheme 'fixed' needs fixed_thresholds")
+        if limits is not None and (limits.capacity, limits.class_count) != (
+            self.params.capacity, self.params.class_count
+        ):
+            raise ValueError(
+                f"fixed_thresholds {limits.limits} must start at the capacity "
+                f"{self.params.capacity} and cover {self.params.class_count} classes"
+            )
         if self.sim_enabled and not self.sim_seeds:
             raise ValueError("sim_seeds must list at least one seed when simulation is enabled")
 
@@ -288,8 +298,6 @@ def load_config(path) -> SweepConfig:
     )
     if config.sim_arrivals < 1:
         fail("sim.arrivals", f"'sim.arrivals' must be positive, got {config.sim_arrivals}")
-    if config.sim_smoothing is not None and not 0 < config.sim_smoothing <= 1:
-        fail("sim.smoothing", f"'sim.smoothing' must be in (0, 1], got {config.sim_smoothing}")
     # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it
     # on after loading. The simulation horizon peaks at the smallest point.
     if not math.isfinite(config.horizon(min(grid))):

@@ -47,6 +47,7 @@ from .traffic import (
     RateVector,
     SystemParams,
     ThresholdVector,
+    _class_index,
     as_rate_vector,
 )
 
@@ -76,8 +77,6 @@ class Scenario:
     warmup: leading time span excluded from statistics; defaults to 10% of
         the horizon.
     fixed_thresholds: availability limits for the FIXED_GUARD scheme.
-    smoothing: optional exponential smoothing factor for the rate estimator
-        (DYNAMIC only).
     record_trace: when set, the report carries every arrival as
         (time, class, admitted) for exact run-to-run comparisons.
     """
@@ -89,7 +88,6 @@ class Scenario:
     scheme: Scheme = Scheme.DYNAMIC
     warmup: float | None = None
     fixed_thresholds: ThresholdVector | None = None
-    smoothing: float | None = None
     record_trace: bool = False
 
     def __post_init__(self) -> None:
@@ -124,11 +122,6 @@ class Scenario:
                 raise ValueError("fixed_thresholds must cover every traffic class")
         elif self.fixed_thresholds is not None:
             raise ValueError("fixed_thresholds only applies to the FIXED_GUARD scheme")
-        if self.smoothing is not None:
-            if self.scheme is not Scheme.DYNAMIC:
-                raise ValueError("smoothing only applies to the DYNAMIC scheme")
-            if not 0 < self.smoothing <= 1:
-                raise ValueError(f"smoothing must be in (0, 1], got {self.smoothing!r}")
 
 
 def blocking_stderr(blocked: int, offered: int) -> float | None:
@@ -155,12 +148,14 @@ class SegmentStats:
     measured_time: float
 
     def blocking(self, cls: int) -> float | None:
-        if self.offered[cls - 1] == 0:
+        idx = _class_index(cls, len(self.offered))
+        if self.offered[idx] == 0:
             return None
-        return self.blocked[cls - 1] / self.offered[cls - 1]
+        return self.blocked[idx] / self.offered[idx]
 
     def blocking_stderr(self, cls: int) -> float | None:
-        return blocking_stderr(self.blocked[cls - 1], self.offered[cls - 1])
+        idx = _class_index(cls, len(self.offered))
+        return blocking_stderr(self.blocked[idx], self.offered[idx])
 
 
 @dataclass(frozen=True)
@@ -198,9 +193,11 @@ def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
     segments consume no draws. Draws come in blocks of ``_DRAW_BLOCK``,
     fetched only when needed, and a block's times are one cumulative sum:
     ``cumsum`` is a sequential ``add.accumulate``, so every time is bitwise
-    equal to the per-draw additions. No later chunk holds a time before
-    ``known``: the segment end for the chunk that closes a segment (which
-    may be empty), else the chunk's last time.
+    equal to the per-draw additions. A time beyond the float range reads
+    inf, as a float addition gives it, and lies past the finite end like
+    any other overshoot. No later chunk holds a time before ``known``: the
+    segment end for the chunk that closes a segment (which may be empty),
+    else the chunk's last time.
     """
     t = 0.0
     block = np.empty(0)
@@ -210,9 +207,10 @@ def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
             if pos == len(block):
                 block = rng.standard_exponential(_DRAW_BLOCK)
                 pos = 0
-            acc = block[pos:] * scale
-            acc[0] += t
-            np.cumsum(acc, out=acc)
+            with np.errstate(over="ignore"):
+                acc = block[pos:] * scale
+                acc[0] += t
+                np.cumsum(acc, out=acc)
             n = int(np.searchsorted(acc, end, side="left"))
             if n < len(acc):
                 pos += n + 1  # the overshoot draw is consumed
@@ -231,7 +229,7 @@ def _arrival_windows(streams, horizon: float):
     pulled arrivals are known up to the earliest time, until at least
     ``_WINDOW_ARRIVALS`` arrivals are pending or every stream has ended. A
     window is then every pending arrival up to the earliest ``known`` time
-    among the running classes, as plain ``(times, classes)`` lists sorted by
+    among the running classes, as ``(times, classes)`` arrays sorted by
     time, ties in class order. The last window ends with an end-of-run
     marker at the horizon with class -1.
     """
@@ -268,8 +266,8 @@ def _arrival_windows(streams, horizon: float):
         times = np.concatenate(times)
         count -= len(times)
         order = np.argsort(times, kind="stable")
-        yield times[order].tolist(), np.concatenate(classes)[order].tolist()
-    yield [horizon], [-1]
+        yield times[order], np.concatenate(classes)[order]
+    yield np.array([horizon]), np.array([-1])
 
 
 def _two_sum(a, b):
@@ -320,8 +318,7 @@ def _admission_policy(scenario: Scenario):
     NON_PRIORITY the shared pool in light load. DYNAMIC replays the rate
     estimator of :class:`~dynguard.traffic.RateEstimator` on every arrival,
     with the same float operations in the same order: 1/gap clamped at
-    ``MIN_GAP`` (smoothed, if asked, by a sequential loop over the class's
-    arrivals), the exact total rate, and the cumulative-quota floor of
+    ``MIN_GAP``, the exact total rate, and the cumulative-quota floor of
     :func:`~dynguard.traffic.availability_thresholds` for the arriving
     class. Until every class has an estimate the scheme stays on the shared
     pool in light load.
@@ -336,7 +333,6 @@ def _admission_policy(scenario: Scenario):
 
     pool = params.reservable_pool
     high_rate = params.high_load_rate
-    smoothing = scenario.smoothing
     # Estimator state carried across windows, as _observe_gap keeps it: each
     # class's latest arrival time and rate estimate, None until it has one.
     last_seen: list[float | None] = [None] * m_count
@@ -363,14 +359,6 @@ def _admission_policy(scenario: Scenario):
                     prev = np.concatenate(([last_seen[c]], prev))
                 inst = 1.0 / np.maximum(arrived[len(arrived) - len(prev):] - prev, MIN_GAP)
                 last_seen[c] = float(arrived[-1])
-            if smoothing is not None and len(inst):
-                smoothed = inst.tolist()
-                old = estimates[c]
-                for k, rate in enumerate(smoothed):
-                    if old is not None:
-                        rate = smoothing * rate + (1.0 - smoothing) * old
-                    smoothed[k] = old = rate
-                inst = np.array(smoothed)
             # Row i holds the estimate after the class's latest arrival up to
             # arrival i: entry k of [carried, after its 1st, ..., kth arrival],
             # where a first-ever arrival leaves the (unused) carried value.
@@ -445,13 +433,12 @@ class _Tally:
         self.events = 0  # window entries and departures, the end marker included
         self.trace = [] if scenario.record_trace else None
 
-    def add(self, times, classes, admitted, departures, high, time_list):
+    def add(self, times, classes, admitted, departures, high):
         """Account for one window.
 
-        ``times``/``classes`` are the window's arrivals (``time_list`` the
-        same times as Python floats), ``admitted`` their decisions,
-        ``departures`` the departure times processed during the window, in
-        order, and ``high`` the modes from the admission policy.
+        ``times``/``classes`` are the window's arrivals, ``admitted`` their
+        decisions, ``departures`` the departure times processed during the
+        window, in order, and ``high`` the modes from the admission policy.
         """
         d = len(departures)
         joined = np.concatenate((departures, times))
@@ -503,7 +490,7 @@ class _Tally:
 
         self.events += len(joined)
         if self.trace is not None:
-            self.trace.extend(zip(time_list, (classes + 1).tolist(), admitted.tolist()))
+            self.trace.extend(zip(times.tolist(), (classes + 1).tolist(), admitted.tolist()))
 
     def _split_at_segment_ends(self, t, lo, occ, busy):
         """Add each event's occupancy-time over (lo, t] to the segments it spans.
@@ -604,17 +591,14 @@ def run_simulation(scenario: Scenario) -> SimReport:
     tally = _Tally(scenario, starts, seg_ends)
 
     for times, classes in windows:
-        n = len(times)
-        times_arr = np.fromiter(times, float, n)
-        classes_arr = np.fromiter(classes, np.int64, n)
-        limits, high = policy(times_arr, classes_arr)
+        limits, high = policy(times, classes)
         # Enough holding draws for every arrival of the window to be admitted.
-        while len(draws) - used < n:
+        while len(draws) - used < len(times):
             draws = draws[used:] + holding_rng.standard_exponential(_DRAW_BLOCK).tolist()
             used = 0
         decisions = bytearray()  # one 0/1 byte per arrival
         departures = []
-        for t, limit in zip(times, limits.tolist()):
+        for t, limit in zip(times.tolist(), limits.tolist()):
             # Departures at or before this arrival go first; the end marker
             # sits at the horizon, so departures there still count.
             while deps[0] <= t:
@@ -629,8 +613,8 @@ def run_simulation(scenario: Scenario) -> SimReport:
                 heappush(deps, t + draws[used] * holding_scale)
                 used += 1
         tally.add(
-            times_arr, classes_arr, np.frombuffer(decisions, dtype=bool),
-            np.fromiter(departures, float, len(departures)), high, times,
+            times, classes, np.frombuffer(decisions, dtype=bool),
+            np.fromiter(departures, float, len(departures)), high,
         )
 
     # The tally's admissions minus departures must leave the loop's occupancy.

@@ -142,7 +142,6 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
                         seed=seed,
                         scheme=scheme,
                         fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
-                        smoothing=config.sim_smoothing if scheme is Scheme.DYNAMIC else None,
                     )
                     for seed in config.sim_seeds
                 ]

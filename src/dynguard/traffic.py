@@ -28,6 +28,13 @@ MIN_GAP = 1e-9
 _FLOOR_SLACK = 1e-9
 
 
+def _class_index(cls: int, class_count: int) -> int:
+    """The 0-based index of 1-based class ``cls``; ValueError outside 1..M."""
+    if not 1 <= cls <= class_count:
+        raise ValueError(f"class must be in 1..{class_count}, got {cls}")
+    return cls - 1
+
+
 class ZeroTotalRateError(ValueError):
     """Raised when an operation needs a positive total arrival rate."""
 
@@ -127,7 +134,7 @@ class ThresholdVector:
 
     def limit(self, cls: int) -> int:
         """Availability limit for 1-based class ``cls``."""
-        return self.limits[cls - 1]
+        return self.limits[_class_index(cls, self.class_count)]
 
 
 def as_rate_vector(rates, class_count: int | None = None) -> RateVector:
@@ -197,28 +204,23 @@ def availability_thresholds(rates, params: SystemParams) -> ThresholdVector:
     return ThresholdVector(limits, quotas)
 
 
-def _observe_gap(
-    last_seen: list, estimates: list, idx: int, t: float, smoothing: float | None
-) -> bool:
+def _observe_gap(last_seen: list, estimates: list, idx: int, t: float) -> bool:
     """Record an arrival of class ``idx + 1`` at ``t`` in the per-class lists.
 
     Both lists are updated in place; the estimate changes from the second
     arrival on. Returns True when this arrival gives the class its first
-    estimate. The simulator's admission policy repeats the gap clamp and
-    the smoothing blend on whole arrays, and a test replays its decisions
-    through :class:`RateEstimator`.
+    estimate. The simulator's admission policy repeats the gap clamp on
+    whole arrays, and a test replays its decisions through
+    :class:`RateEstimator`.
     """
     prev = last_seen[idx]
     last_seen[idx] = t
     if prev is None:
         return False
     gap = t - prev
-    inst = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
-    old = estimates[idx]
-    if old is not None and smoothing is not None:
-        inst = smoothing * inst + (1.0 - smoothing) * old
-    estimates[idx] = inst
-    return old is None
+    first = estimates[idx] is None
+    estimates[idx] = 1.0 / (gap if gap > MIN_GAP else MIN_GAP)
+    return first
 
 
 @dataclass(frozen=True)
@@ -227,20 +229,15 @@ class RateEstimator:
 
     A class's estimate becomes 1/gap once two arrivals have been seen; until
     then queries fall back to the configured prior. Gaps of zero (discrete
-    timestamps colliding) are clamped to ``MIN_GAP``. With ``smoothing`` set
-    to a factor s in (0, 1], an estimate is an exponentially weighted average
-    of the instantaneous rates, not of the gaps: new = s*(1/gap) + (1 - s)*old.
+    timestamps colliding) are clamped to ``MIN_GAP``.
     """
 
     priors: tuple[float, ...]
-    smoothing: float | None = None
     last_seen: tuple[float | None, ...] = ()
     estimates: tuple[float | None, ...] = ()
 
     def __post_init__(self) -> None:
         as_rate_vector(self.priors)
-        if self.smoothing is not None and not 0 < self.smoothing <= 1:
-            raise ValueError(f"smoothing must be in (0, 1], got {self.smoothing}")
         if not self.last_seen:
             object.__setattr__(self, "last_seen", (None,) * len(self.priors))
         if not self.estimates:
@@ -259,18 +256,17 @@ class RateEstimator:
 
     def observe(self, cls: int, timestamp: float) -> "RateEstimator":
         """Record an arrival of 1-based class ``cls``; returns the updated estimator."""
-        if not 1 <= cls <= self.class_count:
-            raise ValueError(f"class must be in 1..{self.class_count}, got {cls}")
+        idx = _class_index(cls, self.class_count)
         if not math.isfinite(timestamp):
             raise ValueError(f"arrival timestamps must be finite, got {timestamp}")
-        prev = self.last_seen[cls - 1]
+        prev = self.last_seen[idx]
         if prev is not None and timestamp < prev:
             raise ValueError(
                 f"arrival timestamps must be non-decreasing per class: {timestamp} < {prev}"
             )
         last_seen = list(self.last_seen)
         estimates = list(self.estimates)
-        _observe_gap(last_seen, estimates, cls - 1, timestamp, self.smoothing)
+        _observe_gap(last_seen, estimates, idx, timestamp)
         # The state stays consistent, so the successor skips __post_init__
         # and its re-validation of the unchanged priors.
         successor = object.__new__(type(self))
@@ -279,8 +275,9 @@ class RateEstimator:
 
     def rate(self, cls: int) -> float:
         """Current estimate for 1-based class ``cls`` (prior until two arrivals)."""
-        est = self.estimates[cls - 1]
-        return self.priors[cls - 1] if est is None else est
+        idx = _class_index(cls, self.class_count)
+        est = self.estimates[idx]
+        return self.priors[idx] if est is None else est
 
     def rates(self) -> RateVector:
         """Current per-class estimates as a rate vector."""

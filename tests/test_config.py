@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from dynguard import ConfigError, Scheme, load_config
+from dynguard import ConfigError, Scheme, ThresholdVector, load_config
 
 FULL = """
 # full sweep description
@@ -19,7 +19,6 @@ fixed.thresholds = 40, 30, 24
 sim.enabled      = true
 sim.arrivals     = 50000
 sim.seeds        = 1, 2
-sim.smoothing    = 0.25
 out              = results.csv
 """
 
@@ -42,7 +41,6 @@ def test_full_config_round_trip(tmp_path):
     assert cfg.sim_enabled
     assert cfg.sim_arrivals == 50000
     assert cfg.sim_seeds == (1, 2)
-    assert cfg.sim_smoothing == 0.25
     assert cfg.out_path == "results.csv"
 
 
@@ -150,8 +148,9 @@ def test_non_numeric_value(tmp_path):
 
 
 def test_bad_smoothing(tmp_path):
-    with pytest.raises(ConfigError, match="smoothing"):
-        load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.smoothing = 2\n"))
+    # The rate estimator has no smoothing: the old key is an unknown key.
+    with pytest.raises(ConfigError, match=r"sweep\.conf:3: unknown key 'sim\.smoothing'$"):
+        load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.smoothing = 0.1\n"))
 
 
 def test_negative_seed_names_the_line(tmp_path):
@@ -183,12 +182,22 @@ def test_simulation_needs_a_seed_at_construction(tmp_path):
         (dict(grid=(20.0, 44.0, 20.0)), "grid"),
         (dict(sim_seeds=(1, 1)), "sim_seeds"),
         (dict(schemes=(Scheme.DYNAMIC, Scheme.NON_PRIORITY, Scheme.DYNAMIC)), "schemes"),
+        (dict(mix=(0.5, 0.5)), "mix"),  # two proportions for three classes
+        (dict(fixed_thresholds=None), "fixed_thresholds"),
+        (dict(fixed_thresholds=ThresholdVector((38, 30, 24))), "fixed_thresholds"),
+        (dict(fixed_thresholds=ThresholdVector((40, 30))), "fixed_thresholds"),
     ],
 )
 def test_construction_repeats_the_load_checks(tmp_path, change, field):
     cfg = load_config(write(tmp_path, FULL))
     with pytest.raises(ValueError, match=field):
         replace(cfg, **change)
+
+
+def test_thresholds_may_stay_with_fixed_off(tmp_path):
+    # Rechecking a loaded config under one scheme keeps its thresholds.
+    cfg = replace(load_config(write(tmp_path, FULL)), schemes=(Scheme.DYNAMIC,))
+    assert cfg.fixed_thresholds.limits == (40, 30, 24)
 
 
 def test_garbled_line(tmp_path):

@@ -37,12 +37,12 @@ WILD = st.one_of(
 )
 WILD_KEYS = [
     "capacity", "common_floor", "service_rate", "load_threshold", "mix", "grid", "grid.min",
-    "grid.max", "grid.steps", "schemes", "fixed.thresholds", "sim.enabled", "sim.seeds",
-    "sim.smoothing", "out",
+    "grid.max", "grid.steps", "schemes", "fixed.thresholds", "sim.enabled", "sim.seeds", "out",
 ]
 # Unknown keys, an empty value, malformed lines, a comment and a blank line.
 NOISE = st.sampled_from(
-    ["cappacity = 3", "sim.estimator = gap", "grid =", "mix 0.5", "= 4", "# c", ""]
+    ["cappacity = 3", "sim.estimator = gap", "sim.smoothing = 0.1", "grid =", "mix 0.5", "= 4",
+     "# c", ""]
 )
 
 
@@ -84,7 +84,6 @@ def config_texts(draw):
         "load_threshold": POSITIVE.map(repr),
         "sim.enabled": st.sampled_from(["true", "off"]),
         "sim.seeds": listed(st.integers(0, 5), 2, unique=True),
-        "sim.smoothing": st.floats(0.0, 1.0, exclude_min=True).map(repr),
         "out": st.just("ignored.csv"),
     }
     for key, value in optional.items():

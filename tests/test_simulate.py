@@ -104,28 +104,26 @@ class TestAdmissionBoundary:
         params = SystemParams(400, 200, service_rate=1e-9, load_threshold=0.925)
         shared = (params.capacity,) * 3
         modes = set()
-        for smoothing in (None, 0.1):
-            for seed in (1, 2, 3):
-                rep = run_simulation(
-                    Scenario(
-                        params=params,
-                        schedule=((0.0, (192.0, 144.0, 144.0)),),
-                        horizon=3.0,
-                        seed=seed,
-                        smoothing=smoothing,
-                        record_trace=True,
-                    )
+        for seed in (1, 2, 3):
+            rep = run_simulation(
+                Scenario(
+                    params=params,
+                    schedule=((0.0, (192.0, 144.0, 144.0)),),
+                    horizon=3.0,
+                    seed=seed,
+                    record_trace=True,
                 )
-                assert rep.event_count == len(rep.trace)  # no departures
-                est = RateEstimator(priors=(1.0, 1.0, 1.0), smoothing=smoothing)
-                occupied = 0
-                for t, cls, admitted in rep.trace:
-                    est = est.observe(cls, t)
-                    high = est.ready and classify_load(est.rates(), params) is LoadCondition.HIGH
-                    limits = availability_thresholds(est.rates(), params).limits if high else shared
-                    assert admitted == (occupied < limits[cls - 1])
-                    modes.add(high)
-                    occupied += admitted
+            )
+            assert rep.event_count == len(rep.trace)  # no departures
+            est = RateEstimator(priors=(1.0, 1.0, 1.0))
+            occupied = 0
+            for t, cls, admitted in rep.trace:
+                est = est.observe(cls, t)
+                high = est.ready and classify_load(est.rates(), params) is LoadCondition.HIGH
+                limits = availability_thresholds(est.rates(), params).limits if high else shared
+                assert admitted == (occupied < limits[cls - 1])
+                modes.add(high)
+                occupied += admitted
         assert modes == {False, True}
 
 
@@ -164,12 +162,6 @@ class TestScenarioValidation:
     def test_thresholds_only_for_fixed_guard(self):
         with pytest.raises(ValueError):
             small_scenario(scheme=Scheme.NON_PRIORITY)
-
-    def test_smoothing_only_for_dynamic(self):
-        with pytest.raises(ValueError, match="smoothing"):
-            small_scenario(smoothing=0.1)
-        with pytest.raises(ValueError, match="smoothing"):
-            small_scenario(scheme=Scheme.NON_PRIORITY, fixed_thresholds=None, smoothing=0.1)
 
     def test_threshold_capacity_must_match(self):
         with pytest.raises(ValueError):
@@ -309,21 +301,6 @@ class TestDynamicScheme:
         assert rep.high_time_fraction > 0.8
         assert rep.blocking[0] < rep.blocking[2]
 
-    def test_smoothing_changes_threshold_dynamics_only(self):
-        params = SystemParams(10, 5)
-        base = dict(
-            params=params,
-            schedule=((0.0, (6.0, 4.0, 4.0)),),
-            horizon=1_000.0,
-            seed=2,
-            scheme=Scheme.DYNAMIC,
-            record_trace=True,
-        )
-        raw = run_simulation(Scenario(**base))
-        smooth = run_simulation(Scenario(smoothing=0.2, **base))
-        # same arrival instants, possibly different decisions
-        assert [t for t, _, _ in raw.trace] == [t for t, _, _ in smooth.trace]
-
     def test_two_phase_segment_stats(self):
         params = SystemParams(10, 5)
         scenario = Scenario(
@@ -373,27 +350,22 @@ class TestEstimatorBias:
     """The paper's 1/gap estimator over-estimates every class's rate.
 
     At half the HIGH boundary (lambda = 20 against 43.2) the load is light,
-    yet DYNAMIC spends about half the measured time in HIGH mode, and
-    smoothing the rates makes it worse. These bounds record the bias; a
-    sound estimator would stay near 0.
+    yet DYNAMIC spends about half the measured time in HIGH mode. These
+    bounds record the bias; a sound estimator would stay near 0.
     """
 
     @staticmethod
-    def high_fraction(seed, smoothing):
+    def high_fraction(seed):
         return run_simulation(
             Scenario(
                 params=SystemParams(40, 20), schedule=((0.0, (8.0, 6.0, 6.0)),),
-                horizon=500.0, seed=seed, smoothing=smoothing,
+                horizon=500.0, seed=seed,
             )
         ).high_time_fraction
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_gap_estimator_reads_high_half_the_time(self, seed):
-        assert 0.4 <= self.high_fraction(seed, None) <= 0.7
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_smoothed_rates_read_high_almost_always(self, seed):
-        assert self.high_fraction(seed, 0.1) > 0.95
+        assert 0.4 <= self.high_fraction(seed) <= 0.7
 
 
 def per_draw_walk(rng, scales, seg_ends):
@@ -424,6 +396,10 @@ class TestArrivalStreams:
             ([0.1, 10.0, 0.1], [5.0, 5.5, 9.0]),  # middle segment shorter than a gap
             ([0.01, 0.5], [40.0, 45.0]),  # about 4000 arrivals: over 3 blocks
             ([None, None], [10.0, 20.0]),  # zero-rate class
+            # Times beyond the float range: the cumulative sum and the
+            # products overflow to inf, past the end, with no warning.
+            ([1e306], [1e307]),
+            ([1e308], [1.5e308]),
         ],
     )
     def test_chunks_match_per_draw_walk(self, scales, seg_ends):
@@ -453,7 +429,7 @@ class TestArrivalStreams:
             iter([(np.array([1.0, 1.5, 2.5]), 2.5), (np.array([]), 4.0),
                   (np.array([4.5, 6.0]), 9.0)]),
         ]
-        windows = list(_arrival_windows(streams, 9.0))
+        windows = [(t.tolist(), c.tolist()) for t, c in _arrival_windows(streams, 9.0)]
         assert windows == [
             ([1.0, 1.0, 1.5, 2.0, 2.5, 4.5, 4.5, 6.0], [0, 2, 2, 0, 2, 0, 2, 2]),
             ([9.0], [-1]),
@@ -517,15 +493,4 @@ class TestPinnedStreams:
         assert rep.segments[1].offered == (0, 0, 0)
         assert self.digest(rep) == (
             "b21b77a7c646e3011b013eb731debaec246b797bcb4ee551cd07e38c10f313a6"
-        )
-
-    def test_smoothing(self):
-        rep = run_simulation(
-            Scenario(
-                params=self.N40, schedule=((0.0, self.RATES48),), horizon=100.0, seed=13,
-                smoothing=0.1, record_trace=True,
-            )
-        )
-        assert self.digest(rep) == (
-            "a53052d412aeab85296d9b44ee63299a5cdedaacfbb061fba9ff3eb51011acbb"
         )

@@ -69,7 +69,6 @@ def reference_run(scenario: Scenario) -> SimReport:
     high_rate = params.high_load_rate
     horizon = scenario.horizon
     warmup = scenario.warmup
-    smoothing = scenario.smoothing
     dynamic = scenario.scheme is Scheme.DYNAMIC
 
     starts = [s for s, _ in scenario.schedule]
@@ -155,7 +154,7 @@ def reference_run(scenario: Scenario) -> SimReport:
 
             limit = limits[idx]
             if dynamic:
-                if _observe_gap(last_seen, estimates, idx, t, smoothing):
+                if _observe_gap(last_seen, estimates, idx, t):
                     missing -= 1
                 if not missing:
                     lam_total = math.fsum(estimates)
@@ -233,9 +232,7 @@ def random_scenario(seed: int, scheme: Scheme) -> Scenario:
         )))
     return Scenario(
         params=params, schedule=schedule, horizon=horizon, seed=seed, scheme=scheme,
-        warmup=warmup, fixed_thresholds=fixed,
-        smoothing=rnd.choice([None, 0.3]) if scheme is Scheme.DYNAMIC else None,
-        record_trace=rnd.random() < 0.5,
+        warmup=warmup, fixed_thresholds=fixed, record_trace=rnd.random() < 0.5,
     )
 
 
@@ -256,7 +253,7 @@ FIXED40 = ThresholdVector((40, 32, 26))
         # About 30k arrivals per class: several windows of several chunks each.
         Scenario(params=N40, schedule=((0.0, (19.2, 14.4, 14.4)),), horizon=2000.0, seed=21),
         Scenario(params=N40, schedule=((0.0, (19.2, 14.4, 14.4)),), horizon=2000.0, seed=22,
-                 smoothing=0.1, record_trace=True),
+                 record_trace=True),
         Scenario(params=N40, schedule=((0.0, (19.2, 14.4, 14.4)),), horizon=1000.0, seed=23,
                  scheme=Scheme.FIXED_GUARD, fixed_thresholds=FIXED40, record_trace=True),
         Scenario(params=N40, schedule=((0.0, (19.2, 14.4, 14.4)),), horizon=1000.0, seed=24,
@@ -273,7 +270,7 @@ FIXED40 = ThresholdVector((40, 32, 26))
             horizon=400.0, seed=25, warmup=35.0, record_trace=True,
         ),
     ],
-    ids=["dynamic", "dynamic-smoothed-trace", "fixed-trace", "nonpriority", "schedule"],
+    ids=["dynamic", "dynamic-trace", "fixed-trace", "nonpriority", "schedule"],
 )
 def test_long_runs_match_the_reference(scenario):
     assert repr(run_simulation(scenario)) == repr(reference_run(scenario))

@@ -165,19 +165,8 @@ class TestRunSweep:
         assert len(within) / len(checked) >= 0.99
 
     def test_grid_point_context_on_failure(self):
-        # fixed-guard scheme with no thresholds, and grid points that are not
-        # positive: each failure names the point
+        # grid points that are not positive: each failure names the point
         cases = [
-            (
-                SweepConfig(
-                    params=SystemParams(10, 5),
-                    mix=(0.5, 0.5),
-                    grid=(12.0,),
-                    schemes=(Scheme.FIXED_GUARD,),
-                    fixed_thresholds=None,
-                ),
-                "lambda_total=12",
-            ),
             (
                 SweepConfig(
                     params=SystemParams(10, 5),

@@ -9,6 +9,7 @@ import pytest
 from dynguard import (
     LoadCondition,
     RateEstimator,
+    SegmentStats,
     SystemParams,
     ThresholdVector,
     ZeroTotalRateError,
@@ -244,16 +245,6 @@ class TestRateEstimator:
         est = est.observe(2, 0.5).observe(2, 1.5)
         assert est.ready
 
-    def test_smoothing_blends_instantaneous_rates(self):
-        est = RateEstimator(priors=(1.0,), smoothing=0.5)
-        est = est.observe(1, 0.0).observe(1, 1.0)  # inst 1.0
-        est = est.observe(1, 1.25)  # inst 4.0 -> 0.5*4 + 0.5*1
-        assert est.rate(1) == pytest.approx(2.5)
-
-    def test_smoothing_validated(self):
-        with pytest.raises(ValueError):
-            RateEstimator(priors=(1.0,), smoothing=1.5)
-
     def test_estimate_sanity_over_poisson_stream(self):
         # The harmonic time-average of the per-arrival estimates recovers the
         # empirical rate; the arithmetic mean of 1/gap diverges (heavy tail)
@@ -289,3 +280,26 @@ class TestRateEstimator:
                 availability_thresholds(est.rates(), p).limits
                 == availability_thresholds(rates, p).limits
             )
+
+
+# Three-class objects behind each 1-based class accessor.
+_STATS = SegmentStats(
+    start=0.0, end=1.0, offered=(4, 3, 2), blocked=(0, 1, 2), utilization=0.5, measured_time=1.0
+)
+_ACCESSORS = {
+    "ThresholdVector.limit": ThresholdVector((10, 8, 6)).limit,
+    "RateEstimator.rate": RateEstimator(priors=(1.0, 2.0, 3.0)).rate,
+    "RateEstimator.observe": lambda cls: RateEstimator(priors=(1.0, 2.0, 3.0)).observe(cls, 0.0),
+    "SegmentStats.blocking": _STATS.blocking,
+    "SegmentStats.blocking_stderr": _STATS.blocking_stderr,
+}
+
+
+@pytest.mark.parametrize("cls", [0, -1, 4])
+@pytest.mark.parametrize("accessor", list(_ACCESSORS))
+def test_class_accessors_take_only_classes_1_to_m(accessor, cls):
+    # Class 0 is the CSV's pooled class, not an alias of the last one.
+    get = _ACCESSORS[accessor]
+    get(3)
+    with pytest.raises(ValueError, match=rf"class must be in 1\.\.3, got {cls}$"):
+        get(cls)
