@@ -10,7 +10,9 @@ loss formula is included as the non-priority baseline.
 
 A chain stays a numpy array from its rates to its report
 (:func:`_point_report`); the public functions, whose types hold tuples,
-call the same helpers.
+call the same helpers. The ratio recursion accumulates in blocks, so a
+rescale restarts only the rest of its block, and the shared pool's loss
+recursion runs once over an array of offered loads (:func:`_pool_reports`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,9 @@ _ORACLE_MAX_STATES = 2000
 
 # Rescale trigger for the ratio recursion; keeps weights finite for any N.
 _RESCALE_LIMIT = 1e100
+
+# Weights per accumulate pass of the ratio recursion; a rescale restarts only its block.
+_ACCUMULATE_BLOCK = 256
 
 
 def _float_array(values) -> np.ndarray:
@@ -148,22 +153,25 @@ def _distribution(births: np.ndarray, service_rate) -> np.ndarray:
     """Stationary distribution by the ratio recursion w_i = w_{i-1} * (birth_{i-1} / (i*mu)).
 
     Dividing first keeps the product finite at huge rates. ``np.multiply.accumulate``
-    forms the product strictly left to right. Where a weight first passes
-    ``_RESCALE_LIMIT``, the prefix is scaled by its reciprocal and the accumulate
-    restarts from the rescaled weight, so every weight is bitwise that of a loop
-    that rescales in place; products past that point may overflow and are overwritten.
+    forms the product strictly left to right, one block of ``_ACCUMULATE_BLOCK``
+    weights at a time. Where a weight first passes ``_RESCALE_LIMIT``, the prefix is
+    scaled by its reciprocal and the accumulate restarts from the rescaled weight
+    over the rest of the block, so every weight is bitwise that of a loop that
+    rescales in place; products past that point may overflow and are overwritten.
     The normalising total is :func:`_exact_sum`.
     """
     n = births.size
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = births / (np.arange(1.0, n + 1) * service_rate)
-        w = np.multiply.accumulate(np.concatenate(([1.0], ratios)))
-        i = 0
-        while (over := np.flatnonzero(w[i + 1 :] > _RESCALE_LIMIT)).size:
-            i += 1 + int(over[0])
-            w[: i + 1] *= 1.0 / w[i]
-            w[i + 1 :] = ratios[i:]
-            np.multiply.accumulate(w[i:], out=w[i:])
+        w = np.concatenate(([1.0], ratios))
+        for start in range(0, n, _ACCUMULATE_BLOCK):
+            i, stop = start, min(start + _ACCUMULATE_BLOCK, n) + 1
+            np.multiply.accumulate(w[i:stop], out=w[i:stop])
+            while (over := (w[i + 1 : stop] > _RESCALE_LIMIT).nonzero()[0]).size:
+                i += 1 + int(over[0])
+                w[: i + 1] *= 1.0 / w[i]
+                w[i + 1 : stop] = ratios[i : stop - 1]
+                np.multiply.accumulate(w[i:stop], out=w[i:stop])
     return w / _exact_sum(w)
 
 
@@ -191,6 +199,8 @@ def _point_report(params: SystemParams, limits: tuple[int, ...] | None, rates) -
     chain those availability limits freeze, on arrays from its births to its report."""
     if limits is None:
         return nonpriority_report(params, rates)
+    if len(limits) != params.class_count or limits[0] != params.capacity:
+        raise ValueError(f"limits must start at {params.capacity} and give one per class, got {limits}")
     births = _births(limits, as_rate_vector(rates, len(limits)))
     service_rate = float(params.service_rate)
     _check_chain(births, service_rate)
@@ -266,15 +276,10 @@ def blocking_report(
     return _chain_report(np.asarray(dist.probabilities), thresholds.limits)
 
 
-def erlang_b(channels: int, offered: float) -> float:
-    """Blocking probability of a shared pool of ``channels`` at ``offered`` erlangs.
-
-    Stable forward recursion: B(0) = 1, B(k) = a*B(k-1) / (k + a*B(k-1)).
-    """
-    if not isinstance(channels, int) or channels < 0:
-        raise ValueError(f"channels must be a non-negative integer, got {channels!r}")
-    if not 0 <= offered <= sys.float_info.max:
-        raise ValueError(f"offered load must be finite and non-negative, got {offered!r}")
+def _erlang_b(channels: int, offered):
+    """Stable forward recursion B(0) = 1, B(k) = a*B(k-1) / (k + a*B(k-1)) at ``offered``
+    erlangs, a float or a float array: each element takes the float loop's IEEE
+    operations, so it is bitwise the float that load alone gives."""
     b = 1.0
     for k in range(1, channels + 1):
         ab = offered * b
@@ -282,28 +287,41 @@ def erlang_b(channels: int, offered: float) -> float:
     return b
 
 
-def nonpriority_report(params: SystemParams, rates) -> BlockingReport:
-    """Report for the no-reservation baseline where all classes share the pool.
+def erlang_b(channels: int, offered: float) -> float:
+    """Blocking probability of a shared pool of ``channels`` at ``offered`` erlangs;
+    see :func:`_erlang_b`."""
+    if not isinstance(channels, int) or channels < 0:
+        raise ValueError(f"channels must be a non-negative integer, got {channels!r}")
+    if not 0 <= offered <= sys.float_info.max:
+        raise ValueError(f"offered load must be finite and non-negative, got {offered!r}")
+    return _erlang_b(channels, offered)
 
-    Every class sees the same blocking, taken from the :func:`erlang_b`
-    recursion. Both the baseline rows and light-load dynamic rows are
-    produced here so the two coincide bit-for-bit.
+
+def _pool_reports(params: SystemParams, rate_vectors) -> list[BlockingReport]:
+    """Reports of the no-reservation baseline, where all classes share the pool and
+    see the same blocking, at each of ``rate_vectors``: one :func:`_erlang_b`
+    recursion runs over all their offered loads. Light-load dynamic rows come
+    from here too, so they equal the baseline rows bit-for-bit.
     """
-    vec = as_rate_vector(rates, params.class_count)
-    offered = _rate_sum(vec) / params.service_rate
+    offered = [_rate_sum(as_rate_vector(r, params.class_count)) / params.service_rate for r in rate_vectors]
+    if math.inf in offered:  # a rate sum over a service rate below 1 can overflow
+        raise ValueError("offered load must be finite and non-negative, got inf")
     n = params.capacity
+    # A lone load runs the recursion on its float: numpy's per-call cost on a
+    # one-element array would be paid at each of the N steps.
+    a = offered[0] if len(offered) == 1 else np.array(offered, dtype=float)
     # The recursion's last step, B(N) = a*B(N-1) / (N + a*B(N-1)), also gives
     # 1 - B(N) = N / (N + a*B(N-1)) without a subtraction that cancels to 0
     # once B(N) rounds to 1 at huge load.
-    a_b = offered * erlang_b(n - 1, offered)
-    utilization = offered / (n + a_b)
-    carried = utilization * n
-    return BlockingReport(
-        blocking=(a_b / (n + a_b),) * params.class_count,
-        utilization=utilization,
-        carried_load=carried,
-        mean_occupancy=carried,
-    )
+    a_b = a * _erlang_b(n - 1, a)
+    utilization = a / (n + a_b)
+    columns = (np.atleast_1d(x).tolist() for x in (a_b / (n + a_b), utilization, utilization * n))
+    return [BlockingReport((b,) * params.class_count, u, c, c) for b, u, c in zip(*columns)]
+
+
+def nonpriority_report(params: SystemParams, rates) -> BlockingReport:
+    """Report for the no-reservation baseline at one rate vector; see :func:`_pool_reports`."""
+    return _pool_reports(params, (rates,))[0]
 
 
 def quasi_stationary_curve(

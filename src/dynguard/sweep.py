@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from itertools import islice, product
 from operator import attrgetter
@@ -23,6 +24,7 @@ from .markov import (
     BlockingReport,
     _dynamic_limits,
     _point_report,
+    _pool_reports,
     # Not called here; perfbench/tracing.py patches these names in this module.
     blocking_report,
     build_chain,
@@ -115,11 +117,11 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     made here first, then the runs go through :func:`_simulated` and are
     pooled per point in sweep order, so the rows do not depend on where
     they ran. Schemes that hold the same limits at the same rates share one
-    report, as light dynamic points share the shared pool's. A failure
-    names the first grid point, in sweep order, that failed.
+    report, as light dynamic points share the shared pool's, and the shared
+    pool's reports come from one batch. A failure names the first grid
+    point, in sweep order, that failed.
     """
-    points = []  # (scheme, lam_total, analytic blocking, analytic utilization, mode)
-    scenarios: list[Scenario] = []
+    keyed = []  # (scheme, lam_total, rates, mode, (limits, rates))
     reports: dict[tuple, BlockingReport] = {}  # by (limits, rates)
     failure = None
     for scheme, lam_total in product(sorted(config.schemes, key=lambda s: s.value), config.grid):
@@ -128,7 +130,20 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
                 raise ValueError(f"grid points must be positive and finite, got {lam_total!r}")
             rates = tuple(m * lam_total for m in config.mix)
             mode = classify_load(rates, config.params).value
-            key = (_limits(config, scheme, rates), rates)
+            keyed.append((scheme, lam_total, rates, mode, (_limits(config, scheme, rates), rates)))
+        except Exception as exc:
+            failure = (scheme, lam_total, exc)
+            break
+
+    # The shared pool's points are solved in one recursion. Should that fail,
+    # the loop below solves them one by one and so names the first failing point.
+    pool = list(dict.fromkeys(key for *_, key in keyed if key[0] is None))
+    with suppress(Exception):
+        reports.update(zip(pool, _pool_reports(config.params, [rates for _, rates in pool])))
+    points = []  # (scheme, lam_total, analytic blocking, analytic utilization, mode)
+    scenarios: list[Scenario] = []
+    for scheme, lam_total, rates, mode, key in keyed:
+        try:
             if key not in reports:
                 reports[key] = _point_report(config.params, *key)
             report = reports[key]

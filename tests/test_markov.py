@@ -21,7 +21,8 @@ from dynguard import (
     steady_state,
     steady_state_oracle,
 )
-from dynguard.markov import _exact_sum
+from dynguard import markov
+from dynguard.markov import _exact_sum, _point_report, _pool_reports
 
 # Benchmark configuration: N=4, limits (4,3,2), unit rates. The stationary
 # weights are exactly (1, 3, 4.5, 3, 0.75)/12.25, so everything below is an
@@ -63,6 +64,17 @@ def per_state_recursion(limits, rates, mu):
                 w[j] *= scale
     total = math.fsum(w)
     return births, tuple(x / total for x in w), rescales
+
+
+def rescale_states(births, mu):
+    """The states at which :func:`per_state_recursion` rescales this chain."""
+    w, states = 1.0, []
+    for i, b in enumerate(births, 1):
+        w *= b / (i * mu)
+        if w > 1e100:
+            states.append(i)
+            w *= 1.0 / w
+    return states
 
 
 class TestBuildChain:
@@ -205,6 +217,57 @@ class TestSteadyState:
         dist = steady_state(chain)
         assert math.fsum(dist.probabilities) == pytest.approx(1.0, abs=1e-12)
         assert all(math.isfinite(p) for p in dist.probabilities)
+
+
+class TestAccumulateBlocks:
+    """The ratio recursion accumulates in blocks, and a rescale restarts only
+    the rest of its block; every weight must stay that of the per-state loop."""
+
+    @staticmethod
+    def check(limits, rates, mu=1.0):
+        births, probabilities, _ = per_state_recursion(limits, rates, mu)
+        chain = build_chain(ThresholdVector(limits), rates, mu)
+        assert chain.birth_rates == births
+        assert steady_state(chain).probabilities == probabilities
+        return births
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("block", [16, markov._ACCUMULATE_BLOCK])
+    def test_rescale_at_a_block_edge(self, monkeypatch, block, offset):
+        # Block k holds weights k*block+1 .. (k+1)*block, so a rescale at state
+        # `block` ends the first block and one at `block + 1` starts the second.
+        # The scan finds the lightest constant-rate chain that rescales at that
+        # state: with block 16 it is the chain's first rescale, with the
+        # module's block a later one.
+        monkeypatch.setattr(markov, "_ACCUMULATE_BLOCK", block)
+        state = block + offset
+        n = state + 20
+        lam = next(x for x in np.geomspace(1e3, 1e12, 4000).tolist() if state in rescale_states((x,) * n, 1.0))
+        if block == 16:
+            assert rescale_states((lam,) * n, 1.0)[0] == state
+        self.check((n,), (lam,))
+
+    @pytest.mark.parametrize("block", [16, markov._ACCUMULATE_BLOCK])
+    def test_short_chains_and_repeated_rescales(self, monkeypatch, block):
+        monkeypatch.setattr(markov, "_ACCUMULATE_BLOCK", block)
+        # Shorter than one block, rescaling on the way.
+        births = self.check((block // 2,), (1e40,))
+        assert rescale_states(births, 1.0)
+        # Two or more rescales inside the first block.
+        births = self.check((block, block // 2), (1e30, 1e30))
+        assert len([i for i in rescale_states(births, 1.0) if i <= block]) >= 2
+
+    def test_births_reach_zero_after_the_weights_overflow(self):
+        # Births are 1e200 below state 20 and 0 above it. Before its first
+        # rescale the block's product overflows to inf and then meets the zero
+        # births as inf * 0 = nan; all of it is overwritten by the restarts.
+        limits, rates = (40, 20), (0.0, 1e200)
+        births = self.check(limits, rates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.multiply.accumulate(np.array(births) / np.arange(1.0, 41))
+        assert np.isinf(raw).any() and np.isnan(raw[20:]).all()
+        # Stretched to two blocks, so the zero births start the second one.
+        self.check((2 * markov._ACCUMULATE_BLOCK, markov._ACCUMULATE_BLOCK), rates)
 
 
 class TestBlockingReport:
@@ -451,6 +514,29 @@ class TestExactSums:
         p = (0.25, -1e-9, 0.5, 0.0, 0.25 + 1e-9, 1e-310)
         dist = SteadyStateDistribution(p)
         self.check_distribution(dist, ThresholdVector((5, 3, 1)), (1.0, 1.0, 1.0), 1.0)
+
+
+def test_batched_shared_pool_matches_per_point_reports():
+    # One recursion over 64 loads, 0 and 1e300 among them, against one call
+    # per load; capacity 1 runs the recursion over no channel at all.
+    rng = np.random.default_rng(29)
+    for params in (SystemParams(5000, 2500), SystemParams(40, 20, service_rate=0.7), SystemParams(1, 0, class_count=2)):
+        m = params.class_count
+        loads = [0.0, 1e300, *(10.0 ** rng.uniform(-3, 5, 62)).tolist()]
+        vectors = [tuple(x * load for x in rng.dirichlet(np.ones(m)).tolist()) for load in loads]
+        for rates, batched in zip(vectors, _pool_reports(params, vectors), strict=True):
+            single = nonpriority_report(params, rates)
+            for got, want in zip((*batched.blocking, batched.utilization, batched.carried_load, batched.mean_occupancy),
+                                 (*single.blocking, single.utilization, single.carried_load, single.mean_occupancy)):
+                assert same_float(got, want)
+    assert _pool_reports(SystemParams(1, 0), []) == []
+
+
+@pytest.mark.parametrize("limits", [(8, 5), (10, 5, 2), (10,)])
+def test_point_report_rejects_limits_that_do_not_fit(limits):
+    # The chain these limits freeze would not have the system's capacity or classes.
+    with pytest.raises(ValueError, match=r"^limits .*" + re.escape(f"got {limits}")):
+        _point_report(SystemParams(10, 5, class_count=2), limits, (6.0, 6.0))
 
 
 def test_erlang_b_matches_the_textbook_form():

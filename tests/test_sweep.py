@@ -19,7 +19,7 @@ from dynguard import (
     erlang_b,
     run_sweep,
 )
-from dynguard import sweep
+from dynguard import markov, sweep
 from dynguard.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,6 +163,24 @@ class TestRunSweep:
             if abs(r.blocking_sim - r.blocking_analytic) <= 3 * r.blocking_sim_stderr
         ]
         assert len(within) / len(checked) >= 0.99
+
+    @pytest.mark.parametrize(
+        "schemes, grid, named",
+        [
+            ((Scheme.NON_PRIORITY,), (4.0, 1e308, 8.0),
+             r"^scheme=nonpriority lambda_total=1e\+308: offered load must be finite and non-negative, got inf$"),
+            ((Scheme.DYNAMIC, Scheme.NON_PRIORITY), (4.0, 1e308),
+             r"^scheme=dynamic lambda_total=1e\+308: state probability out of range: nan$"),
+        ],
+    )
+    def test_pool_overflow_is_named_in_sweep_order(self, schemes, grid, named):
+        # At service rate 0.5 the offered load of 1e308 is inf, so the shared
+        # pool's batch fails; the dynamic chain at 1e308 fails too, and comes first.
+        cfg = SweepConfig(
+            params=SystemParams(10, 5, service_rate=0.5), mix=(0.5, 0.3, 0.2), grid=grid, schemes=schemes
+        )
+        with pytest.raises(SweepError, match=named):
+            run_sweep(cfg)
 
     def test_grid_point_context_on_failure(self):
         # grid points that are not positive: each failure names the point
@@ -370,4 +388,44 @@ class TestWorkerPool:
         monkeypatch.setattr(sweep, "_point_report", patched)
         with pytest.raises(SweepError, match=named):
             run_sweep(POOLED_CFG)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "pool_fails, run_fails, analytic_fails, named",
+        [
+            (6.0, None, None, "^scheme=dynamic lambda_total=6: pool bust$"),
+            (12.0, None, None, "^scheme=nonpriority lambda_total=12: pool bust$"),
+            (12.0, None, 6.0, "^scheme=fixed lambda_total=6: bust$"),
+            (12.0, 12.0, None, "^scheme=dynamic lambda_total=12: boom$"),
+        ],
+    )
+    def test_first_failure_wins_when_the_pool_batch_fails(
+        self, monkeypatch, pool_fails, run_fails, analytic_fails, named
+    ):
+        # The shared pool's reports at every rate (light dynamic and non-priority
+        # points) fail at pool_fails, in the batch and one by one alike; the
+        # sweep order is dynamic 6, 12, fixed 6, 12, nonpriority 6, 12.
+        use_cpus(monkeypatch, 2)
+        patch_runs(monkeypatch, fail_at=run_fails)
+        real_pool, real_point = markov._pool_reports, sweep._point_report
+        batches = []
+
+        def pool(params, rate_vectors):
+            rate_vectors = list(rate_vectors)
+            batches.append(len(rate_vectors))
+            if any(math.fsum(rates) == pool_fails for rates in rate_vectors):
+                raise ValueError("pool bust")
+            return real_pool(params, rate_vectors)
+
+        def point(params, limits, rates):
+            if limits is not None and math.fsum(rates) == analytic_fails:
+                raise ValueError("bust")
+            return real_point(params, limits, rates)
+
+        monkeypatch.setattr(markov, "_pool_reports", pool)
+        monkeypatch.setattr(sweep, "_pool_reports", pool)
+        monkeypatch.setattr(sweep, "_point_report", point)
+        with pytest.raises(SweepError, match=named):
+            run_sweep(POOLED_CFG)
+        assert batches[0] == 2
         assert multiprocessing.active_children() == []
