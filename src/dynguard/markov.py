@@ -11,7 +11,8 @@ loss formula is included as the non-priority baseline.
 A chain stays a numpy array from its rates to its report
 (:func:`_point_report`); the public functions, whose types hold tuples,
 call the same helpers. The ratio recursion accumulates in blocks, so a
-rescale restarts only the rest of its block, and the shared pool's loss
+rescale restarts only the rest of its block, a long exact sum is a numpy head
+and rest certified by fsum (:func:`_exact_sum`), and the shared pool's loss
 recursion runs once over an array of offered loads (:func:`_pool_reports`).
 """
 
@@ -42,6 +43,12 @@ _RESCALE_LIMIT = 1e100
 # Weights per accumulate pass of the ratio recursion; a rescale restarts only its block.
 _ACCUMULATE_BLOCK = 256
 
+# Exact sums of at most this many terms skip the head-and-rest split and its numpy calls.
+_SHORT_SUM = 256
+
+# Below this, max|a| * len(a) keeps every sum :func:`_exact_sum` forms inside the float range.
+_SUM_RANGE = 2.0**1000
+
 
 def _float_array(values) -> np.ndarray:
     """``values`` as floats; an int beyond the float range becomes NaN, so range checks reject it."""
@@ -52,13 +59,42 @@ def _float_array(values) -> np.ndarray:
 
 
 def _exact_sum(a: np.ndarray) -> float:
-    """``math.fsum`` of the nonzero values of ``a``, largest first.
+    """The float ``math.fsum`` gives for ``a``, never -0.0, from an exact head and a bounded rest.
 
-    fsum is correctly rounded in any order and a zero adds nothing, so this is the
-    float an index-order fsum gives, never -0.0. Fed largest first, fsum keeps few
-    partials, where index order keeps many across the tiny weights rescales leave.
+    fsum is correctly rounded in any order, so any order gives this float. An array
+    of more than ``_SHORT_SUM`` terms is split exactly, term by term (the ExtractVector
+    step of Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31(1), 2008). With sigma a
+    power of two at least (n + 2) * max|a|, q = (sigma + a) - sigma rounds each term to
+    a multiple of 2**-53 * sigma, and the *rest* r = a - q is exact, with
+    |r| <= 2**-53 * sigma. Every partial sum of the q is such a multiple below sigma,
+    so numpy sums them, in any order, to the exact *head*. numpy sums the rest to s,
+    and slack = sum|r| * (n + 2) * 2**-50 is eight times the gamma_{n-1} * sum|r| bound
+    on |s - sum(r)|, which holds for any summation order; the margin absorbs the
+    rounding of the slack and of s -/+ slack, subnormals included. fsum is monotone in
+    each term, so when fsum([head, s - slack]) equals fsum([head, s + slack]), that
+    float is the correctly rounded total. A short array, a slack that straddles a
+    rounding boundary, and terms that could add past the float range (inf and nan
+    among them) take :func:`_largest_first_fsum`.
     """
-    return math.fsum(np.sort(a[a != 0])[::-1].tolist())
+    if a.size > _SHORT_SUM:
+        top = float(np.abs(a).max())
+        if top * a.size < _SUM_RANGE:  # false for inf and nan
+            sigma = math.ldexp(1.0, math.frexp(top)[1] + (a.size + 1).bit_length())
+            q = a + sigma
+            q -= sigma
+            rest = a - q
+            head, s = q.sum(), rest.sum()
+            slack = np.abs(rest).sum() * ((a.size + 2) * 2.0**-50)
+            low = math.fsum([head, s - slack])
+            if low == math.fsum([head, s + slack]):
+                return low
+    return _largest_first_fsum(a)
+
+
+def _largest_first_fsum(a: np.ndarray) -> float:
+    """``math.fsum`` of ``a`` largest first: fsum then keeps few partials, where index
+    order keeps many across the tiny weights rescales leave."""
+    return math.fsum(sorted(a.tolist(), reverse=True))
 
 
 def _check_chain(birth_rates, service_rate) -> None:
@@ -158,11 +194,15 @@ def _distribution(births: np.ndarray, service_rate) -> np.ndarray:
     scaled by its reciprocal and the accumulate restarts from the rescaled weight
     over the rest of the block, so every weight is bitwise that of a loop that
     rescales in place; products past that point may overflow and are overwritten.
-    The normalising total is :func:`_exact_sum`.
+    The normalising total is :func:`_exact_sum`. The ratios never increase, so the
+    first, the offered load births[0] / mu, is the one that can overflow; it is
+    rejected as the shared pool rejects it.
     """
     n = births.size
     with np.errstate(over="ignore", invalid="ignore"):
         ratios = births / (np.arange(1.0, n + 1) * service_rate)
+        if n and ratios[0] == math.inf:
+            raise ValueError("offered load must be finite and non-negative, got inf")
         w = np.concatenate(([1.0], ratios))
         for start in range(0, n, _ACCUMULATE_BLOCK):
             i, stop = start, min(start + _ACCUMULATE_BLOCK, n) + 1

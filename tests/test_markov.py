@@ -516,6 +516,160 @@ class TestExactSums:
         self.check_distribution(dist, ThresholdVector((5, 3, 1)), (1.0, 1.0, 1.0), 1.0)
 
 
+def largest_first_fsum(x):
+    """Nonzero terms to fsum largest first through numpy: the reference where the
+    order fsum sees matters (inf, nan, intermediate overflow)."""
+    return math.fsum(np.sort(x[x != 0])[::-1].tolist())
+
+
+class TestCertifiedSums:
+    """Long exact sums take an exact head plus a bounded rest, and fall back only
+    when the rest's slack straddles a rounding boundary."""
+
+    LONG = markov._SHORT_SUM + 44
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        real = markov._largest_first_fsum
+
+        def spy(a):  # short arrays take the largest-first sum directly
+            if a.size > markov._SHORT_SUM:
+                calls.append(a.size)
+            return real(a)
+
+        monkeypatch.setattr(markov, "_largest_first_fsum", spy)
+        return calls
+
+    @classmethod
+    def padded(cls, terms, n=None):
+        x = np.zeros(n or cls.LONG)
+        x[: len(terms)] = terms
+        return x
+
+    @pytest.mark.parametrize("n", [LONG, 1000, 6000])
+    @pytest.mark.parametrize(
+        "terms, rounds",
+        [
+            # 2**-1000 has ulp 2**-1052; every term below it lands in the rest, all subnormal,
+            # so the slack underflows to 0 and s is exact: the certificate decides the tie.
+            ([2.0**-1000, 2.0**-1053], "down"),  # a tie, to the even 2**-1000
+            ([2.0**-1000, 2.0**-1053, 2.0**-1074], "up"),  # the rest breaks it upward
+            ([2.0**-1000 + 2.0**-1052, 2.0**-1053], "up"),  # a tie, to the even neighbour above
+            ([2.0**-1000 + 2.0**-1052, 2.0**-1053, -(2.0**-1074)], "down"),  # the rest breaks it downward
+        ],
+    )
+    def test_subnormal_rest_decides_a_tie(self, fallbacks, n, terms, rounds):
+        x = self.padded(terms, n)
+        got = _exact_sum(x)
+        assert same_float(got, math.fsum(x.tolist()))
+        assert (got > terms[0]) == (rounds == "up")
+        assert fallbacks == []
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [1.0, 2.0**-53],  # the rest holds the tie's half ulp; its slack straddles it
+            [1.0, 2.0**-53, 2.0**-1074],
+            [1.0 + 2.0**-52, 2.0**-53, -(2.0**-1074)],
+            [1.0, 2.0**-53, 1e-300, -1e-300, 3e-200, -3e-200],  # a mixed-sign rest that cancels
+        ],
+    )
+    def test_rest_at_a_tie_falls_back(self, fallbacks, terms):
+        x = self.padded(terms)
+        assert same_float(_exact_sum(x), math.fsum(terms))
+        assert fallbacks == [x.size]
+
+    def test_slack_covers_numpy_rounding_of_the_rest(self):
+        # Every term but 1.0 is rest. The exact total sits just below the midpoint
+        # 1 + 2**-53, and numpy's pairwise sum of the rest rounds up by about
+        # 4 * 2**-106, more than sum|r| * (n + 2) * 2**-60 covers: a slack 2**10 times
+        # tighter would certify 1 + 2**-52.
+        x = np.full(self.LONG, 2.0**-107 * (1 + 2.0**-5))
+        x[:2] = 1.0, 2.0**-53 - 154 * 2.0**-106
+        assert same_float(_exact_sum(x), math.fsum(x.tolist()))
+        assert same_float(_exact_sum(x), 1.0)
+
+    def test_empty_rest(self, fallbacks):
+        # Every term is a multiple of the head's grid, so the rest is all zeros and the slack 0.
+        x = np.tile([1.0, 0.5, -0.25, 3.0, 0.0], 200)
+        x[9] = 2.0**-30
+        assert same_float(_exact_sum(x), math.fsum(x.tolist()))
+        assert same_float(_exact_sum(x), 850.0 + 2.0**-30)
+        assert fallbacks == []
+
+    @pytest.mark.parametrize("n", [LONG, 6000])
+    @pytest.mark.parametrize("fill", [[0.0], [-0.0], [0.0, -0.0]])
+    def test_long_zero_arrays_sum_to_positive_zero(self, n, fill):
+        assert same_float(_exact_sum(np.resize(np.array(fill), n)), 0.0)
+
+    @pytest.mark.parametrize("n", [3, LONG, 6000])
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [1.0, math.inf],
+            [math.inf, -1.0, 1e308],
+            [math.nan, 1.0],
+            [math.inf, math.nan],
+            [math.inf, -math.inf],  # fsum's ValueError
+            [math.inf, 1e308, 1e308],  # fsum's intermediate OverflowError
+            [1e308, 1e308, 1e-300],  # finite terms whose sum leaves the float range
+            [1e300] * 3,  # past the bound on max|a| * len(a): the largest-first path
+        ],
+    )
+    def test_non_finite_and_huge_terms_match_the_largest_first_sum(self, n, terms):
+        x = self.padded(terms, max(n, len(terms)))
+        try:
+            want = largest_first_fsum(x)
+        except (ValueError, OverflowError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _exact_sum(x)
+        else:
+            assert same_float(_exact_sum(x), want)
+
+    @staticmethod
+    def random_terms(rng, n):
+        top = float(rng.uniform(-323, 300))
+        x = 10.0 ** rng.uniform(-324, top, n)
+        kind = rng.integers(0, 5, n)
+        x[kind == 1] = 0.0
+        x[kind == 2] = np.ldexp(1.0, rng.integers(-1074, 333, n))[kind == 2]
+        x[kind == 3] *= -1.0
+        return x
+
+    def test_random_terms_around_the_cutoff_and_up_to_6000(self, fallbacks):
+        rng = np.random.default_rng(31)
+        cut = markov._SHORT_SUM
+        sizes = [cut - 1, cut, cut + 1, cut + 2, 2 * cut, 6000]
+        sizes += [int(s) for s in rng.integers(cut - 20, 6001, 300)]
+        for n in sizes:
+            x = self.random_terms(rng, n)
+            if rng.random() < 0.5:
+                x = np.abs(x)
+            assert same_float(_exact_sum(x), math.fsum(x.tolist()))
+        assert len(fallbacks) < len(sizes) // 10
+
+    def test_chain_sums_take_no_fallback(self, fallbacks):
+        # perfbench's analytic_wide high point, whose values TestExactSums checks:
+        # the total, the mean occupancy and the long tails are all certified.
+        params = SystemParams(5000, 2500)
+        rates = (0.4 * 7500, 0.3 * 7500, 0.3 * 7500)
+        tv = availability_thresholds(rates, params)
+        blocking_report(steady_state(build_chain(tv, rates, 1.0)), tv, rates, 1.0)
+        assert fallbacks == []
+
+
+def test_an_offered_load_beyond_the_float_range_is_named():
+    # births[0] / mu overflows; the ratio recursion rejects it as the shared pool does.
+    for call in (
+        lambda: steady_state(BirthDeathChain((1e308, 1e308), 0.5)),
+        lambda: _point_report(SystemParams(10, 5, service_rate=0.5), (10, 8, 6), (5e307, 3e307, 2e307)),
+        lambda: nonpriority_report(SystemParams(10, 5, service_rate=0.5), (5e307, 3e307, 2e307)),
+    ):
+        with pytest.raises(ValueError, match=r"^offered load must be finite and non-negative, got inf$"):
+            call()
+
+
 def test_batched_shared_pool_matches_per_point_reports():
     # One recursion over 64 loads, 0 and 1e300 among them, against one call
     # per load; capacity 1 runs the recursion over no channel at all.

@@ -170,7 +170,7 @@ class TestRunSweep:
             ((Scheme.NON_PRIORITY,), (4.0, 1e308, 8.0),
              r"^scheme=nonpriority lambda_total=1e\+308: offered load must be finite and non-negative, got inf$"),
             ((Scheme.DYNAMIC, Scheme.NON_PRIORITY), (4.0, 1e308),
-             r"^scheme=dynamic lambda_total=1e\+308: state probability out of range: nan$"),
+             r"^scheme=dynamic lambda_total=1e\+308: offered load must be finite and non-negative, got inf$"),
         ],
     )
     def test_pool_overflow_is_named_in_sweep_order(self, schemes, grid, named):
@@ -227,6 +227,27 @@ class TestRunSweep:
         assert data.count(b"\n") == 25
         assert hashlib.sha256(data).hexdigest() == (
             "17bac2ad8cf082eab3c5168170c5a5869aa45ab21b262284f84046be1da65435"
+        )
+
+    def test_wide_analytic_sweep_is_pinned(self, tmp_path):
+        # At N=5000 a chain's total, its mean occupancy and most of its tails
+        # are long exact sums, so a change to them, to the ratio recursion or to
+        # the pool recursion shows up in the digest. Light points (2500-5200)
+        # and high ones (6000-10000), all three schemes.
+        cfg = SweepConfig(
+            params=SystemParams(5000, 2500),
+            mix=(0.4, 0.3, 0.3),
+            grid=(2500.0, 4000.0, 5200.0, 6000.0, 7500.0, 10000.0),
+            schemes=(Scheme.DYNAMIC, Scheme.FIXED_GUARD, Scheme.NON_PRIORITY),
+            fixed_thresholds=ThresholdVector((5000, 4500, 3000)),
+        )
+        out = tmp_path / "wide.csv"
+        emit_csv(run_sweep(cfg), out)
+        data = out.read_bytes()
+        assert data.count(b"\n") == 73
+        assert b"dynamic,6000,1,3.37460168e-274," in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "51696511cb3c34b6c86d61d41d79c6c58edbedcf43a35efd27ee33eacd7b6339"
         )
 
 
