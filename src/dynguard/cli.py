@@ -49,9 +49,10 @@ def main(argv=None) -> int:
         elif args.command == "simulate":
             config = replace(config, sim_enabled=True)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-            config = replace(config, sim_seeds=(args.seed,))
+            try:
+                config = replace(config, sim_seeds=(args.seed,))
+            except ValueError as exc:
+                raise ConfigError(f"--seed {args.seed}: {exc}") from None
         out = args.out or config.out_path
         if out is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")

@@ -26,9 +26,10 @@ Recognized keys::
     out              = results.csv
 
 When the grid is omitted it defaults to 16 evenly spaced total rates from
-half the capacity rate to twice the capacity rate. A config that loads has
-grid points that differ as the CSV prints them, and a finite offered load
-and a finite simulation horizon at each.
+half the capacity rate to twice the capacity rate. The rules on values live
+in the types, whose messages start with the field at fault; the loader names
+that field's line, and itself checks only the keys, the grid range, scheme
+labels, and a finite offered load and simulation horizon at the grid's ends.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .simulate import Scheme
-from .traffic import SystemParams, ThresholdVector
+from .traffic import SystemParams, ThresholdVector, _check_fit, _check_grid, _check_mix
 
 
 class ConfigError(ValueError):
@@ -129,31 +130,30 @@ class SweepConfig:
     out_path: str | None = None
 
     def __post_init__(self) -> None:
-        # The checks load_config makes first, with line numbers, repeated for
-        # a config built in code or by dataclasses.replace.
-        if len(self.mix) != self.params.class_count:
-            raise ValueError(f"mix gives {len(self.mix)} proportions for {self.params.class_count} classes")
-        for m in self.mix:
-            if not 0 <= m <= 1:
-                raise ValueError(f"mix proportions must be non-negative and at most 1, got {m!r}")
-        if abs(math.fsum(self.mix) - 1.0) > 1e-9:
-            raise ValueError(f"mix proportions must sum to 1, got {math.fsum(self.mix)!r}")
-        for name in ("grid", "sim_seeds", "schemes"):
-            values = getattr(self, name)
+        # Every rule about these fields lives here, for a config loaded, built
+        # in code or changed by dataclasses.replace alike. Each message starts
+        # with the field at fault, which load_config maps to its line.
+        _check_mix(self.mix, self.params.class_count)
+        _check_grid(self.grid)
+        printed = set()
+        for g in self.grid:
+            shown = format(g, _CSV_REAL)
+            if shown in printed:
+                raise ValueError(f"grid points must differ as the CSV prints them, but two read {shown}")
+            printed.add(shown)
+        if not all(isinstance(seed, int) and seed >= 0 for seed in self.sim_seeds):
+            raise ValueError(f"sim_seeds must be non-negative integers, got {self.sim_seeds}")
+        for name, values in (("sim_seeds", self.sim_seeds), ("schemes", tuple(s.value for s in self.schemes))):
             for k, value in enumerate(values):
                 if value in values[:k]:
                     raise ValueError(f"{name} lists {value!r} twice")
+        if not (isinstance(self.sim_arrivals, int) and self.sim_arrivals >= 1):
+            raise ValueError(f"sim_arrivals must be a positive integer, got {self.sim_arrivals!r}")
         # Thresholds may stay set with 'fixed' off, but must fit the system.
-        limits = self.fixed_thresholds
-        if limits is None and Scheme.FIXED_GUARD in self.schemes:
-            raise ValueError("scheme 'fixed' needs fixed_thresholds")
-        if limits is not None and (limits.capacity, limits.class_count) != (
-            self.params.capacity, self.params.class_count
-        ):
-            raise ValueError(
-                f"fixed_thresholds {limits.limits} must start at the capacity "
-                f"{self.params.capacity} and cover {self.params.class_count} classes"
-            )
+        if self.fixed_thresholds is not None:
+            _check_fit("fixed_thresholds", self.fixed_thresholds.limits, self.params)
+        elif Scheme.FIXED_GUARD in self.schemes:
+            raise ValueError("fixed_thresholds must be given for scheme 'fixed'")
         if self.sim_enabled and not self.sim_seeds:
             raise ValueError("sim_seeds must list at least one seed when simulation is enabled")
 
@@ -198,27 +198,12 @@ def load_config(path) -> SweepConfig:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
     values, lines = _parse_lines(text, str(path))
 
-    def fail(key: str, message: str):
+    def fail(key: str | None, message: str):
         raise ConfigError(message, str(path), lines.get(key))
 
     for key in ("capacity", "mix"):
         if key not in values:
             fail(key, f"missing required key {key!r}")
-    capacity, mix = values["capacity"], values["mix"]
-    for m in mix:
-        if not 0 <= m <= 1:
-            fail("mix", f"mix proportions must be non-negative and at most 1, got {m!r}")
-    if abs(math.fsum(mix) - 1.0) > 1e-9:
-        fail("mix", f"mix proportions must sum to 1, got {math.fsum(mix)!r}")
-
-    given = {k: values[k] for k in ("common_floor", "service_rate", "load_threshold") if k in values}
-    try:
-        params = SystemParams(capacity, class_count=len(mix), **given)
-    except ValueError as exc:
-        # Each SystemParams message starts with the name of the field at fault;
-        # a defaulted load_threshold is derived from service_rate.
-        key = str(exc).split()[0]
-        fail(key if key in lines else "service_rate", str(exc))
 
     grid = values.get("grid")
     ranged = [k for k in _GRID_RANGE if k in values]
@@ -234,70 +219,55 @@ def load_config(path) -> SweepConfig:
         if not hi > lo:
             fail("grid.max", f"'grid.max' must exceed 'grid.min', got {lo}..{hi}")
         grid = tuple(lo + k * (hi - lo) / (steps - 1) for k in range(steps))
-    if grid is None:
-        # Default regression grid: half to twice the capacity rate.
-        lo = 0.5 * capacity * params.service_rate
-        hi = 2.0 * capacity * params.service_rate
-        grid = tuple(lo + k * (hi - lo) / 15 for k in range(16))
-    # Failures of grid points are blamed on the key they derive from.
-    grid_key = next((k for k in ("grid", "grid.min", "service_rate") if k in lines), "capacity")
-    printed = set()
-    for g in grid:
-        if not (math.isfinite(g) and g > 0):
-            fail(grid_key, f"grid points must be positive, got {g!r}")
-        shown = format(g, _CSV_REAL)
-        if shown in printed:
-            fail(grid_key, f"grid points must differ as the CSV prints them, but two read {shown}")
-        printed.add(shown)
-    # The sweep's offered load, the summed class rates over mu, peaks at the largest point.
-    try:
-        offered = math.fsum(m * max(grid) for m in mix) / params.service_rate
-    except OverflowError:  # the class rates sum beyond the float range
-        offered = math.inf
-    if not math.isfinite(offered):
-        fail(grid_key, f"grid point {max(grid)!r} gives an offered load beyond the float range")
 
     schemes = []
     for label in values.get("schemes", ("dynamic", "nonpriority")):
         if label not in _SCHEME_LABELS:
             fail("schemes", f"unknown scheme {label!r}; expected one of {sorted(_SCHEME_LABELS)}")
-        if _SCHEME_LABELS[label] in schemes:
-            fail("schemes", f"scheme {label!r} listed twice")
         schemes.append(_SCHEME_LABELS[label])
-
-    fixed_thresholds = None
     limits = values.get("fixed.thresholds")
-    if Scheme.FIXED_GUARD in schemes:
-        if limits is None:
-            fail("schemes", "scheme 'fixed' needs 'fixed.thresholds'")
-        try:
-            fixed_thresholds = ThresholdVector(limits)
-        except ValueError as exc:
-            fail("fixed.thresholds", str(exc))
-        if limits[0] != capacity:
-            fail("fixed.thresholds", f"first threshold must equal the capacity {capacity}, got {limits[0]}")
-        if len(limits) != len(mix):
-            fail("fixed.thresholds", f"expected {len(mix)} thresholds to match the mix, got {len(limits)}")
-    elif limits is not None:
+    if limits is not None and Scheme.FIXED_GUARD not in schemes:
         fail("fixed.thresholds", "'fixed.thresholds' given but scheme 'fixed' is not enabled")
 
-    for k, seed in enumerate(values.get("sim.seeds", ())):
-        if seed < 0:
-            fail("sim.seeds", f"'sim.seeds' must be non-negative, got {seed}")
-        if seed in values["sim.seeds"][:k]:
-            fail("sim.seeds", f"seed {seed} listed twice in 'sim.seeds'")
+    # Failures of grid points are blamed on the key they derive from.
+    grid_key = next((k for k in ("grid", "grid.min", "service_rate") if k in lines), "capacity")
+    # Each SystemParams, ThresholdVector and SweepConfig message starts with the
+    # field at fault; it is blamed on the first of that field's keys that is set.
+    blamed = {
+        "grid": (grid_key,),
+        "limits": ("fixed.thresholds",),
+        "fixed_thresholds": ("fixed.thresholds", "schemes"),
+        "load_threshold": ("load_threshold", "service_rate"),
+        **{key.replace(".", "_"): (key,) for key in _SIM_KEYS},
+    }
+    given = {k: values[k] for k in ("common_floor", "service_rate", "load_threshold") if k in values}
+    try:
+        params = SystemParams(values["capacity"], class_count=len(values["mix"]), **given)
+        if grid is None:
+            # Default regression grid: half to twice the capacity rate.
+            lo = 0.5 * params.capacity * params.service_rate
+            hi = 2.0 * params.capacity * params.service_rate
+            grid = tuple(lo + k * (hi - lo) / 15 for k in range(16))
+        config = SweepConfig(
+            params=params,
+            mix=values["mix"],
+            grid=grid,
+            schemes=tuple(schemes),
+            fixed_thresholds=None if limits is None else ThresholdVector(limits),
+            out_path=values.get("out"),
+            **{key.replace(".", "_"): values[key] for key in _SIM_KEYS if key in values},
+        )
+    except ValueError as exc:
+        field = str(exc).split()[0]
+        fail(next((k for k in blamed.get(field, (field,)) if k in lines), None), str(exc))
 
-    config = SweepConfig(
-        params=params,
-        mix=mix,
-        grid=grid,
-        schemes=tuple(schemes),
-        fixed_thresholds=fixed_thresholds,
-        out_path=values.get("out"),
-        **{key.replace(".", "_"): values[key] for key in _SIM_KEYS if key in values},
-    )
-    if config.sim_arrivals < 1:
-        fail("sim.arrivals", f"'sim.arrivals' must be positive, got {config.sim_arrivals}")
+    # The sweep's offered load, the summed class rates over mu, peaks at the largest point.
+    try:
+        offered = math.fsum(m * max(grid) for m in config.mix) / params.service_rate
+    except OverflowError:  # the class rates sum beyond the float range
+        offered = math.inf
+    if not math.isfinite(offered):
+        fail(grid_key, f"grid point {max(grid)!r} gives an offered load beyond the float range")
     # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it
     # on after loading. The simulation horizon peaks at the smallest point.
     if not math.isfinite(config.horizon(min(grid))):

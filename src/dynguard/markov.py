@@ -28,6 +28,9 @@ from .traffic import (
     LoadCondition,
     SystemParams,
     ThresholdVector,
+    _check_fit,
+    _check_grid,
+    _check_mix,
     _rate_sum,
     as_rate_vector,
     availability_thresholds,
@@ -239,8 +242,7 @@ def _point_report(params: SystemParams, limits: tuple[int, ...] | None, rates) -
     chain those availability limits freeze, on arrays from its births to its report."""
     if limits is None:
         return nonpriority_report(params, rates)
-    if len(limits) != params.class_count or limits[0] != params.capacity:
-        raise ValueError(f"limits must start at {params.capacity} and give one per class, got {limits}")
+    _check_fit("limits", limits, params)
     births = _births(limits, as_rate_vector(rates, len(limits)))
     service_rate = float(params.service_rate)
     _check_chain(births, service_rate)
@@ -374,12 +376,8 @@ def quasi_stationary_curve(
     the rate mix and solve the resulting chain. The simulator is the check
     on how well this frozen-threshold approximation tracks the live scheme.
     """
-    mix_vec = as_rate_vector(mix, params.class_count)
-    if abs(_rate_sum(mix_vec) - 1.0) > 1e-9:
-        raise ValueError(f"mix proportions must sum to 1, got {_rate_sum(mix_vec)!r}")
-    points = tuple(grid)
-    for g in points:
-        if not 0 < g <= sys.float_info.max:
-            raise ValueError(f"grid points must be positive and finite, got {g!r}")
-    curve = (tuple(p * float(g) for p in mix_vec) for g in points)
+    mix, points = tuple(mix), tuple(grid)
+    _check_mix(mix, params.class_count)
+    _check_grid(points)
+    curve = (tuple(float(p) * float(g) for p in mix) for g in points)
     return [_point_report(params, _dynamic_limits(params, rates), rates) for rates in curve]

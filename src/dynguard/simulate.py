@@ -47,6 +47,7 @@ from .traffic import (
     RateVector,
     SystemParams,
     ThresholdVector,
+    _check_fit,
     _class_index,
     as_rate_vector,
 )
@@ -116,10 +117,7 @@ class Scenario:
         if self.scheme is Scheme.FIXED_GUARD:
             if self.fixed_thresholds is None:
                 raise ValueError("FIXED_GUARD needs explicit fixed_thresholds")
-            if self.fixed_thresholds.capacity != self.params.capacity:
-                raise ValueError("fixed_thresholds capacity must match params.capacity")
-            if self.fixed_thresholds.class_count != self.params.class_count:
-                raise ValueError("fixed_thresholds must cover every traffic class")
+            _check_fit("fixed_thresholds", self.fixed_thresholds.limits, self.params)
         elif self.fixed_thresholds is not None:
             raise ValueError("fixed_thresholds only applies to the FIXED_GUARD scheme")
 

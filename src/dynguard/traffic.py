@@ -137,6 +137,37 @@ class ThresholdVector:
         return self.limits[_class_index(cls, self.class_count)]
 
 
+# The checks below are each rule's one home. Every message starts with the
+# field at fault, so the config loader can name that field's line.
+
+
+def _check_fit(field: str, limits: tuple[int, ...], params: SystemParams) -> None:
+    """ValueError unless ``limits`` give one limit per class, the first the capacity."""
+    if len(limits) != params.class_count or limits[0] != params.capacity:
+        raise ValueError(
+            f"{field} must give one limit for each of the {params.class_count} classes, "
+            f"and the first must equal the capacity {params.capacity}, got {limits}"
+        )
+
+
+def _check_mix(mix, class_count: int) -> None:
+    """ValueError unless ``mix`` gives ``class_count`` proportions in [0, 1] summing to 1."""
+    if len(mix) != class_count:
+        raise ValueError(f"mix gives {len(mix)} proportions for {class_count} classes")
+    for m in mix:
+        if not 0 <= m <= 1:
+            raise ValueError(f"mix proportions must be non-negative and at most 1, got {m!r}")
+    if abs(math.fsum(mix) - 1.0) > 1e-9:
+        raise ValueError(f"mix proportions must sum to 1, got {math.fsum(mix)!r}")
+
+
+def _check_grid(grid) -> None:
+    """ValueError unless every total rate in ``grid`` is positive and finite."""
+    for g in grid:
+        if not 0 < g <= sys.float_info.max:
+            raise ValueError(f"grid points must be positive and finite, got {g!r}")
+
+
 def as_rate_vector(rates, class_count: int | None = None) -> RateVector:
     """Validate and normalize a per-class rate sequence to a tuple."""
     vec = tuple(rates)

@@ -67,7 +67,7 @@ def test_seed_override_changes_the_run(conf, tmp_path):
 def test_negative_seed_exits_one(conf, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["sweep", "--config", str(conf), "--out", str(out), "--seed", "-3"]) == 1
-    assert "--seed must be non-negative" in capsys.readouterr().err
+    assert "--seed -3: sim_seeds must be non-negative" in capsys.readouterr().err
     assert not out.exists()
 
 

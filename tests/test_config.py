@@ -1,10 +1,21 @@
 """Config file parsing and validation."""
 
+import math
 from dataclasses import replace
 
 import pytest
 
-from dynguard import ConfigError, Scheme, ThresholdVector, load_config
+from dynguard import (
+    ConfigError,
+    Scenario,
+    Scheme,
+    SweepConfig,
+    SystemParams,
+    ThresholdVector,
+    load_config,
+    quasi_stationary_curve,
+)
+from dynguard.markov import _point_report
 
 FULL = """
 # full sweep description
@@ -154,12 +165,12 @@ def test_bad_smoothing(tmp_path):
 
 
 def test_negative_seed_names_the_line(tmp_path):
-    with pytest.raises(ConfigError, match=r"sweep\.conf:3: 'sim\.seeds' must be non-negative"):
+    with pytest.raises(ConfigError, match=r"sweep\.conf:3: sim_seeds must be non-negative"):
         load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.seeds = 2, -1\n"))
 
 
 def test_duplicate_seed_names_the_line(tmp_path):
-    with pytest.raises(ConfigError, match=r"sweep\.conf:3: seed 1 listed twice"):
+    with pytest.raises(ConfigError, match=r"sweep\.conf:3: sim_seeds lists 1 twice"):
         load_config(write(tmp_path, "capacity = 10\nmix = 1.0\nsim.seeds = 1, 1\n"))
 
 
@@ -186,12 +197,63 @@ def test_simulation_needs_a_seed_at_construction(tmp_path):
         (dict(fixed_thresholds=None), "fixed_thresholds"),
         (dict(fixed_thresholds=ThresholdVector((38, 30, 24))), "fixed_thresholds"),
         (dict(fixed_thresholds=ThresholdVector((40, 30))), "fixed_thresholds"),
+        # each of these built, then failed mid-sweep
+        (dict(sim_seeds=(-1,)), "sim_seeds"),
+        (dict(sim_seeds=(1.5,)), "sim_seeds"),
+        (dict(sim_arrivals=0), "sim_arrivals"),
+        (dict(sim_arrivals=-5), "sim_arrivals"),
+        (dict(grid=(0.0,)), "grid"),
+        (dict(grid=(math.nan,)), "grid"),
+        (dict(grid=(8.0, 8.000000001)), "grid"),  # the CSV prints both as 8
     ],
 )
 def test_construction_repeats_the_load_checks(tmp_path, change, field):
     cfg = load_config(write(tmp_path, FULL))
     with pytest.raises(ValueError, match=field):
         replace(cfg, **change)
+
+
+@pytest.mark.parametrize("limits", [(8, 5), (10, 5, 2), (10,)])
+def test_limits_fit_has_one_home(limits):
+    # The config, a simulation run and a chain report refuse limits that do
+    # not fit the system with one message, apart from the field it names.
+    params = SystemParams(10, 5, class_count=2)
+    fixed = ThresholdVector(limits)
+    calls = [
+        ("fixed_thresholds", lambda: SweepConfig(
+            params=params, mix=(0.5, 0.5), grid=(6.0,), schemes=(Scheme.FIXED_GUARD,), fixed_thresholds=fixed
+        )),
+        ("fixed_thresholds", lambda: Scenario(
+            params=params, schedule=((0.0, (3.0, 3.0)),), horizon=10.0, seed=1,
+            scheme=Scheme.FIXED_GUARD, fixed_thresholds=fixed,
+        )),
+        ("limits", lambda: _point_report(params, limits, (3.0, 3.0))),
+    ]
+    rests = set()
+    for field, call in calls:
+        with pytest.raises(ValueError, match=rf"^{field} ") as info:
+            call()
+        rests.add(str(info.value).removeprefix(field))
+    (rest,) = rests
+    assert "equal the capacity 10" in rest and rest.endswith(f"got {limits}")
+
+
+@pytest.mark.parametrize(
+    "mix, grid",
+    [
+        ((0.5, 0.3, 0.3), (4.0,)),  # sums to 1.1
+        ((1.5, -0.3, -0.2), (4.0,)),  # sums to 1 with entries outside [0, 1]
+        ((0.5, 0.5), (4.0,)),  # two proportions for three classes
+        ((0.4, 0.3, 0.3), (4.0, 0.0)),
+    ],
+)
+def test_mix_and_grid_rules_have_one_home(mix, grid):
+    params = SystemParams(10, 5)
+    with pytest.raises(ValueError, match="^(mix|grid) ") as curve:
+        quasi_stationary_curve(params, mix, grid)
+    with pytest.raises(ValueError) as config:
+        SweepConfig(params=params, mix=mix, grid=grid, schemes=(Scheme.DYNAMIC,))
+    assert str(config.value) == str(curve.value)
 
 
 def test_thresholds_may_stay_with_fixed_off(tmp_path):

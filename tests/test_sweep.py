@@ -183,30 +183,11 @@ class TestRunSweep:
             run_sweep(cfg)
 
     def test_grid_point_context_on_failure(self):
-        # grid points that are not positive: each failure names the point
-        cases = [
-            (
-                SweepConfig(
-                    params=SystemParams(10, 5),
-                    mix=(0.5, 0.3, 0.2),
-                    grid=(-5.0,),
-                    schemes=(Scheme.NON_PRIORITY,),
-                ),
-                "^scheme=nonpriority lambda_total=-5: ",
-            ),
-            (
-                SweepConfig(
-                    params=SystemParams(10, 5),
-                    mix=(0.5, 0.3, 0.2),
-                    grid=(0.0,),
-                    schemes=(Scheme.DYNAMIC,),
-                ),
-                "^scheme=dynamic lambda_total=0: grid points must be positive and finite, got 0.0$",
-            ),
-        ]
-        for cfg, context in cases:
-            with pytest.raises(SweepError, match=context):
-                run_sweep(cfg)
+        # grid points that are not positive are refused when the config is
+        # built, before any sweep starts; the message names the field and point
+        for grid, scheme in (((-5.0,), Scheme.NON_PRIORITY), ((0.0,), Scheme.DYNAMIC)):
+            with pytest.raises(ValueError, match=rf"^grid points must be positive and finite, got {grid[0]}$"):
+                SweepConfig(params=SystemParams(10, 5), mix=(0.5, 0.3, 0.2), grid=grid, schemes=(scheme,))
 
     def test_pooled_simulation_columns_are_pinned(self, tmp_path):
         # two seeds pooled per class and over all classes (class 0), for all
