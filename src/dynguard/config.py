@@ -38,7 +38,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .simulate import Scheme
+from .simulate import _WARMUP_SHARE, Scheme, _check_seed
 from .traffic import SystemParams, ThresholdVector, _check_fit, _check_grid, _check_mix
 
 
@@ -53,8 +53,17 @@ class ConfigError(ValueError):
 
 
 _SCHEME_LABELS = {s.value: s for s in Scheme}
-# How the sweep CSV prints reals: 9 significant digits.
-_CSV_REAL = ".9g"
+
+
+def _csv_field(value) -> str:
+    """How the sweep CSV prints a value: empty for None, reals to 9 significant digits."""
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    return format(value, ".9g")
 
 
 def _finite(value):
@@ -137,12 +146,12 @@ class SweepConfig:
         _check_grid(self.grid)
         printed = set()
         for g in self.grid:
-            shown = format(g, _CSV_REAL)
+            shown = _csv_field(g)
             if shown in printed:
                 raise ValueError(f"grid points must differ as the CSV prints them, but two read {shown}")
             printed.add(shown)
-        if not all(isinstance(seed, int) and seed >= 0 for seed in self.sim_seeds):
-            raise ValueError(f"sim_seeds must be non-negative integers, got {self.sim_seeds}")
+        for seed in self.sim_seeds:
+            _check_seed("sim_seeds", seed)
         for name, values in (("sim_seeds", self.sim_seeds), ("schemes", tuple(s.value for s in self.schemes))):
             for k, value in enumerate(values):
                 if value in values[:k]:
@@ -159,7 +168,7 @@ class SweepConfig:
 
     def horizon(self, lam_total: float) -> float:
         """Simulation horizon whose post-warmup window sees about ``sim_arrivals`` calls."""
-        return self.sim_arrivals / (0.9 * lam_total)
+        return self.sim_arrivals / ((1 - _WARMUP_SHARE) * lam_total)
 
 
 def _parse_lines(text: str, path: str) -> tuple[dict[str, object], dict[str, int]]:

@@ -58,6 +58,14 @@ _DRAW_BLOCK = 1024
 # spread the fixed cost of each window's numpy calls over many arrivals;
 # the window's arrays stay bounded.
 _WINDOW_ARRIVALS = 4096
+# Share of a run's horizon that is warmup by default, excluded from statistics.
+_WARMUP_SHARE = 0.1
+
+
+def _check_seed(field: str, seed) -> None:
+    """ValueError unless ``seed`` is an int a random stream accepts: one at least 0."""
+    if not (isinstance(seed, int) and seed >= 0):
+        raise ValueError(f"{field} must be non-negative: a seed is an int >= 0, got {seed!r}")
 
 
 class Scheme(Enum):
@@ -75,8 +83,8 @@ class Scenario:
     schedule: piecewise-constant per-class rates as (start time, rates)
         segments; the first must start at 0 and starts must increase. Each
         segment lasts until the next one (the last until the horizon).
-    warmup: leading time span excluded from statistics; defaults to 10% of
-        the horizon.
+    warmup: leading time span excluded from statistics; defaults to
+        ``_WARMUP_SHARE`` of the horizon.
     fixed_thresholds: availability limits for the FIXED_GUARD scheme.
     record_trace: when set, the report carries every arrival as
         (time, class, admitted) for exact run-to-run comparisons.
@@ -94,6 +102,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.horizon) and self.horizon > 0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
+        _check_seed("seed", self.seed)
         if not self.schedule:
             raise ValueError("schedule must have at least one segment")
         normalized = []
@@ -111,7 +120,7 @@ class Scenario:
             prev_start = start
         object.__setattr__(self, "schedule", tuple(normalized))
         if self.warmup is None:
-            object.__setattr__(self, "warmup", 0.1 * self.horizon)
+            object.__setattr__(self, "warmup", _WARMUP_SHARE * self.horizon)
         if not 0.0 <= self.warmup < self.horizon:
             raise ValueError(f"warmup must lie in [0, horizon), got {self.warmup!r}")
         if self.scheme is Scheme.FIXED_GUARD:
@@ -332,59 +341,48 @@ def _admission_policy(scenario: Scenario):
     pool = params.reservable_pool
     high_rate = params.high_load_rate
     # Estimator state carried across windows, as _observe_gap keeps it: each
-    # class's latest arrival time and rate estimate, None until it has one.
-    last_seen: list[float | None] = [None] * m_count
-    estimates: list[float | None] = [None] * m_count
+    # class's latest arrival time and rate estimate, NaN until it has one.
+    last_seen = np.full(m_count, np.nan)
+    estimates = np.full(m_count, np.nan)
     high_now = False
 
     def policy(times, classes):
         nonlocal high_now
         n = len(classes)
+        missing = np.isnan(estimates).any()  # some class starts the window without an estimate
         rates = np.empty((m_count, n))  # each class's estimate after each arrival
-        ready = 0  # the first arrival after which every class has an estimate
         for c in range(m_count):
             mine = classes == c
             arrived = times[mine]
-            # Arrivals of the class this window needs before it has an estimate.
-            needed = 0 if estimates[c] is not None else 1 if last_seen[c] is not None else 2
-            if needed:
-                at = np.flatnonzero(mine)
-                ready = max(ready, at[needed - 1] if len(at) >= needed else n)
-            inst = np.empty(0)
-            if len(arrived):
-                prev = arrived[:-1]
-                if last_seen[c] is not None:
-                    prev = np.concatenate(([last_seen[c]], prev))
-                inst = 1.0 / np.maximum(arrived[len(arrived) - len(prev):] - prev, MIN_GAP)
-                last_seen[c] = float(arrived[-1])
-            # Row i holds the estimate after the class's latest arrival up to
-            # arrival i: entry k of [carried, after its 1st, ..., kth arrival],
-            # where a first-ever arrival leaves the (unused) carried value.
-            carried = 0.0 if estimates[c] is None else estimates[c]
-            after = np.concatenate(([carried] * (1 + len(arrived) - len(inst)), inst))
+            # 1/gap after each of the class's arrivals, NaN after its first ever,
+            # forward-filled from the carried estimate.
+            inst = 1.0 / np.maximum(arrived - np.concatenate((last_seen[c:c + 1], arrived[:-1])), MIN_GAP)
+            after = np.concatenate((estimates[c:c + 1], inst))
             rates[c] = after[np.cumsum(mine)]
-            if len(inst):
-                estimates[c] = float(inst[-1])
-        total = _exact_sums(rates[:, ready:])
-        high = np.zeros(n + 1, dtype=bool)
+            estimates[c] = after[-1]
+            if len(arrived):
+                last_seen[c] = arrived[-1]
+        # Until every class has an estimate the total stays NaN, so the mode
+        # reads light. Those columns lead the window, since an estimate once
+        # made stays, and are kept from _exact_sums, which would fsum each one.
+        total = np.full(n, np.nan)
+        ready = np.count_nonzero(np.isnan(rates).any(axis=0)) if missing else 0
+        total[ready:] = _exact_sums(rates[:, ready:])
+        high = np.empty(n + 1, dtype=bool)
         high[0] = high_now
-        high[ready + 1:] = total >= high_rate
+        high[1:] = total >= high_rate
         high_now = bool(high[n])
         limits = by_class[classes]
         # A high-load arrival of class 2..M loses the floor of the quotas
         # reserved by the classes above it, summed in class order.
-        cls = classes[ready:]
-        cut = high[ready + 1:] & (cls > 0)
+        cut = high[1:] & (classes > 0)
         if cut.any():
-            cum = np.zeros(n - ready)
-            reserved = np.zeros(n - ready)
+            cum = np.zeros(n)
+            reserved = np.zeros(n)
             for c in range(1, m_count):
-                cum += rates[c - 1, ready:] / total * pool
-                np.copyto(reserved, cum, where=cls == c)
-            np.copyto(
-                limits[ready:], capacity - np.floor(reserved + _FLOOR_SLACK),
-                casting="unsafe", where=cut,
-            )
+                cum += rates[c - 1] / total * pool
+                np.copyto(reserved, cum, where=classes == c)
+            np.copyto(limits, capacity - np.floor(reserved + _FLOOR_SLACK), casting="unsafe", where=cut)
         return limits, high
 
     return policy

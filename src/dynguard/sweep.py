@@ -19,7 +19,7 @@ from itertools import islice, product
 from operator import attrgetter
 from pathlib import Path
 
-from .config import _CSV_REAL, SweepConfig
+from .config import SweepConfig, _csv_field
 from .markov import (
     BlockingReport,
     _dynamic_limits,
@@ -195,21 +195,11 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     return rows
 
 
-def _field(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(value, _CSV_REAL)
-
-
 _COLUMNS = attrgetter(*(f.name for f in fields(ResultRow)))
 
 
 def emit_csv(rows, path) -> None:
     """Write rows to ``path`` with the fixed header; reals get 9 significant digits."""
     lines = [_CSV_HEADER]
-    lines.extend(",".join(map(_field, _COLUMNS(r))) for r in rows)
+    lines.extend(",".join(map(_csv_field, _COLUMNS(r))) for r in rows)
     Path(path).write_text("\n".join(lines) + "\n")

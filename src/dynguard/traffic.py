@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 # A per-class arrival-rate vector (calls per unit time), index 0 = class 1.
@@ -298,11 +298,7 @@ class RateEstimator:
         last_seen = list(self.last_seen)
         estimates = list(self.estimates)
         _observe_gap(last_seen, estimates, idx, timestamp)
-        # The state stays consistent, so the successor skips __post_init__
-        # and its re-validation of the unchanged priors.
-        successor = object.__new__(type(self))
-        vars(successor).update(vars(self), last_seen=tuple(last_seen), estimates=tuple(estimates))
-        return successor
+        return replace(self, last_seen=tuple(last_seen), estimates=tuple(estimates))
 
     def rate(self, cls: int) -> float:
         """Current estimate for 1-based class ``cls`` (prior until two arrivals)."""

@@ -238,6 +238,27 @@ def test_limits_fit_has_one_home(limits):
     assert "equal the capacity 10" in rest and rest.endswith(f"got {limits}")
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_seed_rule_has_one_home(seed):
+    # A config and a simulation run refuse a seed numpy would not take with
+    # one message, apart from the field it names; a run refused -1 only
+    # inside numpy before.
+    params = SystemParams(10, 5, class_count=2)
+    calls = [
+        ("sim_seeds", lambda: SweepConfig(
+            params=params, mix=(0.5, 0.5), grid=(6.0,), schemes=(Scheme.DYNAMIC,), sim_seeds=(seed,)
+        )),
+        ("seed", lambda: Scenario(params=params, schedule=((0.0, (3.0, 3.0)),), horizon=10.0, seed=seed)),
+    ]
+    rests = set()
+    for field, call in calls:
+        with pytest.raises(ValueError, match=rf"^{field} must be non-negative") as info:
+            call()
+        rests.add(str(info.value).removeprefix(field))
+    (rest,) = rests
+    assert rest.endswith(f"got {seed!r}")
+
+
 @pytest.mark.parametrize(
     "mix, grid",
     [

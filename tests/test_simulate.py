@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dynguard import (
     RateEstimator,
     Scenario,
     Scheme,
+    SimReport,
     SystemParams,
     ThresholdVector,
     availability_thresholds,
@@ -271,9 +273,10 @@ class TestDynamicScheme:
         assert dyn.light_time_fraction == 1.0
         assert dyn.trace == base_run.trace
 
-    def test_silent_class_keeps_bootstrap_light(self):
+    def test_silent_class_keeps_bootstrap_light(self, monkeypatch):
         # a class that never produces two arrivals pins the scheme to the
-        # shared pool no matter how high the load estimate would be
+        # shared pool no matter how high the load estimate would be; its
+        # total stays NaN, and no such column goes to math.fsum
         params = SystemParams(10, 5)
         base = dict(
             params=params,
@@ -282,8 +285,15 @@ class TestDynamicScheme:
             seed=9,
             record_trace=True,
         )
-        dyn = run_simulation(Scenario(scheme=Scheme.DYNAMIC, **base))
+        dyn_scenario = Scenario(scheme=Scheme.DYNAMIC, **base)
+        fsum, calls = math.fsum, []
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(1) or fsum(values))
+        dyn = run_simulation(dyn_scenario)
+        monkeypatch.undo()
+        assert not calls
         np_run = run_simulation(Scenario(scheme=Scheme.NON_PRIORITY, **base))
+        for field in fields(SimReport):
+            assert getattr(dyn, field.name) == getattr(np_run, field.name), field.name
         assert dyn.light_time_fraction == 1.0
         assert dyn.trace == np_run.trace
         assert any(not adm for _, _, adm in dyn.trace)  # real blocking compared

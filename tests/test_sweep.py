@@ -262,6 +262,20 @@ class TestEmitCsv:
         ]
         assert line and line[0].split(",")[3] == "0.755675276"
 
+    def test_integer_grid_points_that_print_apart_are_kept(self, tmp_path):
+        # With .9g both would read 1.23456789e+09, but the CSV prints an int
+        # whole, and the config's check prints with the CSV's own formatter.
+        cfg = SweepConfig(
+            params=SystemParams(10, 5, class_count=2),
+            mix=(0.5, 0.5),
+            grid=(1234567891, 1234567892),
+            schemes=(Scheme.NON_PRIORITY,),
+        )
+        out = tmp_path / "ints.csv"
+        emit_csv(run_sweep(cfg), out)
+        lines = out.read_text().splitlines()[1:]
+        assert [l.split(",")[1] for l in lines] == ["1234567891"] * 3 + ["1234567892"] * 3
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = SweepConfig(
             params=SystemParams(6, 3, class_count=2),
