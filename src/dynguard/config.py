@@ -29,13 +29,15 @@ When the grid is omitted it defaults to 16 evenly spaced total rates from
 half the capacity rate to twice the capacity rate. The rules on values live
 in the types, whose messages start with the field at fault; the loader names
 that field's line, and itself checks only the keys, the grid range, scheme
-labels, and a finite offered load and simulation horizon at the grid's ends.
+labels, and thresholds given while 'fixed' is off. A file is checked as
+``dynguard simulate`` would run it, with simulation on.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .simulate import _WARMUP_SHARE, Scheme, _check_seed
@@ -156,8 +158,8 @@ class SweepConfig:
             for k, value in enumerate(values):
                 if value in values[:k]:
                     raise ValueError(f"{name} lists {value!r} twice")
-        if not (isinstance(self.sim_arrivals, int) and self.sim_arrivals >= 1):
-            raise ValueError(f"sim_arrivals must be a positive integer, got {self.sim_arrivals!r}")
+        if not (isinstance(self.sim_arrivals, int) and 1 <= self.sim_arrivals <= sys.float_info.max):
+            raise ValueError(f"sim_arrivals must be a positive int within the float range, got {self.sim_arrivals!r}")
         # Thresholds may stay set with 'fixed' off, but must fit the system.
         if self.fixed_thresholds is not None:
             _check_fit("fixed_thresholds", self.fixed_thresholds.limits, self.params)
@@ -165,6 +167,17 @@ class SweepConfig:
             raise ValueError("fixed_thresholds must be given for scheme 'fixed'")
         if self.sim_enabled and not self.sim_seeds:
             raise ValueError("sim_seeds must list at least one seed when simulation is enabled")
+        # The offered load, the summed class rates over mu, peaks at the largest point.
+        top = max(self.grid, default=0.0)
+        try:
+            offered = math.fsum(m * top for m in self.mix) / self.params.service_rate
+        except OverflowError:  # the class rates sum beyond the float range
+            offered = math.inf
+        if not math.isfinite(offered):
+            raise ValueError(f"grid point {top!r} gives an offered load beyond the float range")
+        # The simulation horizon peaks at the smallest point.
+        if self.sim_enabled and self.grid and not math.isfinite(self.horizon(min(self.grid))):
+            raise ValueError(f"grid point {min(self.grid)!r} gives sim_arrivals an infinite simulation horizon")
 
     def horizon(self, lam_total: float) -> float:
         """Simulation horizon whose post-warmup window sees about ``sim_arrivals`` calls."""
@@ -266,19 +279,9 @@ def load_config(path) -> SweepConfig:
             out_path=values.get("out"),
             **{key.replace(".", "_"): values[key] for key in _SIM_KEYS if key in values},
         )
+        # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it on.
+        replace(config, sim_enabled=True)
     except ValueError as exc:
         field = str(exc).split()[0]
         fail(next((k for k in blamed.get(field, (field,)) if k in lines), None), str(exc))
-
-    # The sweep's offered load, the summed class rates over mu, peaks at the largest point.
-    try:
-        offered = math.fsum(m * max(grid) for m in config.mix) / params.service_rate
-    except OverflowError:  # the class rates sum beyond the float range
-        offered = math.inf
-    if not math.isfinite(offered):
-        fail(grid_key, f"grid point {max(grid)!r} gives an offered load beyond the float range")
-    # Checked whatever 'sim.enabled' says, since 'dynguard simulate' turns it
-    # on after loading. The simulation horizon peaks at the smallest point.
-    if not math.isfinite(config.horizon(min(grid))):
-        fail(grid_key, f"grid point {min(grid)!r} gives 'sim.arrivals' an infinite simulation horizon")
     return config

@@ -156,7 +156,11 @@ class SteadyStateDistribution:
 
     def tail(self, start: int) -> float:
         """Probability of occupancy >= ``start``; see :func:`_exact_sum`."""
-        return _exact_sum(np.asarray(self.probabilities[start:]))
+        terms = self.probabilities[start:]
+        if len(terms) <= _SHORT_SUM:
+            # Finite terms, and fsum is correctly rounded in any order: the float _exact_sum gives.
+            return math.fsum(terms)
+        return _exact_sum(np.asarray(terms))
 
     def mean_occupancy(self) -> float:
         """Sum of i * P_i; see :func:`_exact_sum`."""

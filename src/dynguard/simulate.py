@@ -35,6 +35,7 @@ then goes through three stages:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -100,7 +101,7 @@ class Scenario:
     record_trace: bool = False
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
+        if not 0 < self.horizon <= sys.float_info.max:
             raise ValueError(f"horizon must be positive and finite, got {self.horizon!r}")
         _check_seed("seed", self.seed)
         if not self.schedule:
@@ -108,6 +109,8 @@ class Scenario:
         normalized = []
         prev_start = None
         for start, rates in self.schedule:
+            if not abs(start) <= sys.float_info.max:  # float() raises OverflowError beyond it
+                raise ValueError(f"segment start {start} is not inside [0, horizon)")
             start = float(start)
             if prev_start is None:
                 if start != 0.0:

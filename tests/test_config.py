@@ -186,6 +186,33 @@ def test_simulation_needs_a_seed_at_construction(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "params, change, field",
+    [
+        # lambda / mu overflows at 1e10
+        (SystemParams(4, class_count=1, service_rate=1e-300), dict(grid=(1.0, 1e10)), r"grid point 10000000000\.0 "),
+        # the simulation horizon sim_arrivals / (0.9 * lambda) is infinite at 1e-320
+        (SystemParams(4, class_count=1), dict(grid=(1e-320, 1.0), sim_enabled=True), "grid point 1e-320"),
+        # the horizon's int division raised OverflowError
+        (SystemParams(4, class_count=1), dict(grid=(1.0,), sim_enabled=True, sim_arrivals=10**400), "sim_arrivals"),
+    ],
+    ids=["load-overflow", "horizon-overflow", "arrivals-overflow"],
+)
+def test_load_range_is_checked_when_built(params, change, field):
+    # Each of these built, then failed inside run_sweep.
+    with pytest.raises(ValueError, match=f"^{field}"):
+        SweepConfig(params=params, mix=(1.0,), schemes=(Scheme.NON_PRIORITY,), **change)
+
+
+def test_horizon_is_checked_only_with_simulation_on():
+    cfg = SweepConfig(
+        params=SystemParams(4, class_count=1), mix=(1.0,), grid=(1e-320, 1.0), schemes=(Scheme.NON_PRIORITY,)
+    )
+    assert math.isinf(cfg.horizon(1e-320))
+    with pytest.raises(ValueError, match="^grid point 1e-320 gives sim_arrivals an infinite simulation horizon$"):
+        replace(cfg, sim_enabled=True)
+
+
+@pytest.mark.parametrize(
     "change, field",
     [
         (dict(mix=(0.5, 0.3, 0.3)), "mix"),  # offers 1.1 times the stated load

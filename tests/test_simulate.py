@@ -140,10 +140,16 @@ class TestScenarioValidation:
                 schedule=((0.0, (1.0, 1.0, 1.0)), (0.0, (2.0, 1.0, 1.0)))
             )
 
+    def test_horizon_must_be_positive_and_finite(self):
+        # 10**400, an int beyond the float range, gets the ValueError, not an OverflowError.
+        for horizon in (0.0, math.inf, math.nan, 10**400):
+            with pytest.raises(ValueError, match="^horizon "):
+                small_scenario(horizon=horizon)
+
     def test_segment_must_lie_inside_horizon(self):
         # Only constructed, never run: a run whose schedule let a NaN start
         # through would not end.
-        for start in (600.0, math.nan):
+        for start in (600.0, math.nan, 10**400):
             with pytest.raises(ValueError):
                 small_scenario(
                     schedule=((0.0, (1.0, 1.0, 1.0)), (start, (2.0, 1.0, 1.0)))
@@ -154,8 +160,9 @@ class TestScenarioValidation:
             small_scenario(schedule=((0.0, (1.0, 1.0)),))
 
     def test_warmup_within_horizon(self):
-        with pytest.raises(ValueError):
-            small_scenario(warmup=500.0)
+        for warmup in (500.0, 10**400):
+            with pytest.raises(ValueError):
+                small_scenario(warmup=warmup)
 
     def test_fixed_guard_needs_thresholds(self):
         with pytest.raises(ValueError):
