@@ -30,13 +30,16 @@ then goes through three stages:
    a per-event loop would add, in the same order, so every float is bitwise
    the one that loop gives. An arrival counts toward the segment whose
    [start, end) holds its time, and run totals sum the segments.
+
+Scenarios that differ only in their scheme share one arrival walk in
+:func:`_run_schemes`; :func:`run_simulation` is that runner with one.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from heapq import heappop, heappush
 
@@ -413,13 +416,14 @@ class _Tally:
     leaves it bitwise unchanged, so no event needs to be dropped.
     """
 
-    def __init__(self, scenario: Scenario, starts, seg_ends):
+    def __init__(self, scenario: Scenario):
         self.capacity = scenario.params.capacity
         self.m_count = scenario.params.class_count
         self.horizon = scenario.horizon
         self.warmup = scenario.warmup
+        starts = [s for s, _ in scenario.schedule]
         self.starts = np.array(starts)
-        self.ends = np.array(seg_ends)
+        self.ends = np.array(starts[1:] + [scenario.horizon])
         # Post-warmup offered and blocked counts per segment and class.
         self.offered = np.zeros((len(starts), self.m_count), dtype=np.int64)
         self.blocked = np.zeros_like(self.offered)
@@ -432,10 +436,27 @@ class _Tally:
         self.events = 0  # window entries and departures, the end marker included
         self.trace = [] if scenario.record_trace else None
 
-    def add(self, times, classes, admitted, departures, high):
+    def shared(self, times, classes):
+        """What :meth:`add` takes from a window whatever was admitted.
+
+        That is the measured arrivals (post-warmup, not the end marker),
+        each one's count key, 2 * (segment * M + class), and the trace's
+        class labels when a trace is kept. It reads only the warmup, the
+        segment table and the trace setting, so scenarios equal in those
+        can share it.
+        """
+        measured = times >= self.warmup
+        measured &= classes >= 0
+        seg = np.searchsorted(self.ends, times[measured], side="right")
+        keys = (seg * self.m_count + classes[measured]) * 2
+        labels = (classes + 1).tolist() if self.trace is not None else None
+        return measured, keys, labels
+
+    def add(self, times, tlist, shared, admitted, departures, high):
         """Account for one window.
 
-        ``times``/``classes`` are the window's arrivals, ``admitted`` their
+        ``times`` are the window's arrival times and ``tlist`` the same as
+        a list, ``shared`` is :meth:`shared` of the window, ``admitted`` the
         decisions, ``departures`` the departure times processed during the
         window, in order, and ``high`` the modes from the admission policy.
         """
@@ -443,19 +464,25 @@ class _Tally:
         joined = np.concatenate((departures, times))
         # A stable merge of two sorted runs, departures first on ties.
         order = np.argsort(joined, kind="stable")
-        t = joined[order]
-        step = np.concatenate((np.full(d, -1.0), admitted))[order]
-        occ = np.cumsum(step)
-        occ -= step
-        occ += self.occupied  # occupancy before each event, a whole float
-        self.occupied = int(occ[-1] + step[-1])
-        lo = np.empty_like(t)
-        lo[0] = self.prev_t
-        lo[1:] = t[:-1]
+        # Event times and the occupancy before each event, each led by the
+        # value carried from the last window, so the last entry is the
+        # value to carry on.
+        t = np.empty(len(joined) + 1)
+        t[0] = self.prev_t
+        t[1:] = joined[order]
+        occ = np.empty_like(t)
+        occ[0] = self.occupied
+        occ[1:] = np.concatenate((np.full(d, -1.0), admitted))[order]
+        np.cumsum(occ, out=occ)
+        clip = self.prev_t < self.warmup  # else every event is past the warmup
         self.prev_t = float(t[-1])
-        np.maximum(lo, self.warmup, out=lo)
+        self.occupied = int(occ[-1])
+        lo, t, occ = t[:-1], t[1:], occ[:-1]
+        if clip:
+            lo = np.maximum(lo, self.warmup)
         span = t - lo
-        np.maximum(span, 0.0, out=span)
+        if clip:
+            np.maximum(span, 0.0, out=span)
         busy = occ * span
         self.busy_time = _add_in_order(self.busy_time, busy)
         if high.all():
@@ -464,10 +491,10 @@ class _Tally:
             self.light_time = _add_in_order(self.light_time, span)
         else:
             # The mode in force up to each event is the one after the
-            # arrivals ahead of it; entry p is arrival order[p] - d or
-            # departure order[p], with p - order[p] arrivals ahead.
-            ahead = order - d
-            ahead[ahead < 0] = np.flatnonzero(ahead < 0) - order[ahead < 0]
+            # arrivals ahead of it.
+            arrival = order >= d
+            ahead = np.cumsum(arrival)
+            ahead -= arrival
             high_span = span * high[ahead]
             self.high_time = _add_in_order(self.high_time, high_span)
             self.light_time = _add_in_order(self.light_time, span - high_span)
@@ -476,20 +503,17 @@ class _Tally:
         if len(ends) > 1:  # else the one segment's busy time is busy_time
             self._split_at_segment_ends(t, lo, occ, busy)
 
-        measured = times >= self.warmup
-        measured &= classes >= 0  # not the end marker
-        if measured.any():
-            seg = np.searchsorted(ends, times[measured], side="right")
+        measured, keys, labels = shared
+        if len(keys):
             # Per segment and class: [blocked, admitted] counts.
-            key = (seg * self.m_count + classes[measured]) * 2 + admitted[measured]
-            counts = np.bincount(key, minlength=2 * self.offered.size)
+            counts = np.bincount(keys + admitted[measured], minlength=2 * self.offered.size)
             counts = counts.reshape(*self.offered.shape, 2)
             self.offered += counts.sum(axis=2)
             self.blocked += counts[:, :, 0]
 
         self.events += len(joined)
         if self.trace is not None:
-            self.trace.extend(zip(times.tolist(), (classes + 1).tolist(), admitted.tolist()))
+            self.trace.extend(zip(tlist, labels, admitted.tolist()))
 
     def _split_at_segment_ends(self, t, lo, occ, busy):
         """Add each event's occupancy-time over (lo, t] to the segments it spans.
@@ -552,24 +576,84 @@ class _Tally:
         )
 
 
-def run_simulation(scenario: Scenario) -> SimReport:
-    """Run one scenario to its horizon and report blocking and utilization."""
-    params = scenario.params
-    m_count = params.class_count
-    capacity = params.capacity
-    horizon = scenario.horizon
+class _Lane:
+    """One scheme's part of a shared run: its admission policy, its own copy
+    of the holding-time stream, its pending departures and its tally."""
+
+    def __init__(self, scenario: Scenario, holding_seq):
+        self.policy = _admission_policy(scenario)
+        self.holding_rng = np.random.default_rng(holding_seq)
+        self.holding_scale = 1.0 / scenario.params.service_rate
+        # Holding times, fetched in blocks and scaled in numpy, and how many
+        # are used: ``standard_exponential(n)[i] * scale`` is bitwise equal
+        # to the i-th of n successive ``exponential(scale)`` calls.
+        self.holds: list[float] = []
+        self.used = 0
+        # Pending departure times. The infinite sentinel is never popped and
+        # keeps deps[0] defined, so len(deps) - 1 channels are busy.
+        self.deps = [math.inf]
+        self.tally = _Tally(scenario)
+
+    def advance(self, times, classes, tlist, shared) -> None:
+        """Take one arrival window through the policy, the occupancy loop and the tally."""
+        limits, high = self.policy(times, classes)
+        # Admission needs fewer busy channels than the limit, so no limit
+        # above the capacity means the occupancy never exceeds it.
+        assert limits.max() <= self.tally.capacity
+        # Enough holding times for every arrival of the window to be admitted.
+        holds, used = self.holds, self.used
+        while len(holds) - used < len(tlist):
+            # A mean holding time near the float limit overflows to inf, a valid time.
+            with np.errstate(over="ignore", invalid="ignore"):
+                block = self.holding_rng.standard_exponential(_DRAW_BLOCK) * self.holding_scale
+            holds = holds[used:] + block.tolist()
+            used = 0
+        deps = self.deps
+        decisions = bytearray()  # one 0/1 byte per arrival
+        departures = []
+        for t, limit in zip(tlist, limits.tolist()):
+            # Departures at or before this arrival go first; the end marker
+            # sits at the horizon, so departures there still count.
+            while deps[0] <= t:
+                departures.append(heappop(deps))
+            if len(deps) <= limit:  # fewer than limit channels busy
+                heappush(deps, t + holds[used])
+                used += 1
+                decisions.append(1)
+            else:
+                decisions.append(0)
+        self.holds, self.used = holds, used
+        self.tally.add(
+            times, tlist, shared, np.frombuffer(decisions, dtype=bool),
+            np.fromiter(departures, float, len(departures)), high,
+        )
+
+
+def _run_schemes(scenarios) -> list[SimReport]:
+    """Run scenarios equal but for ``scheme`` and ``fixed_thresholds`` on the same arrivals.
+
+    The arrivals are drawn and cut into windows once, and every scheme
+    takes each window in turn through its own three stages, so memory
+    stays bounded by a window. Each scheme draws holding times from its own
+    copy of the holding stream, so every report is bitwise its scenario's
+    run alone. Any other difference between the scenarios is a ValueError.
+    """
+    first = scenarios[0]
+    for other in scenarios[1:]:
+        if replace(other, scheme=first.scheme, fixed_thresholds=first.fixed_thresholds) != first:
+            raise ValueError("scenarios run together may differ only in scheme and fixed_thresholds")
+    m_count = first.params.class_count
+    horizon = first.horizon
 
     # Segment table: end times, and each class's mean gap per segment (None
     # while silent).
-    starts = [s for s, _ in scenario.schedule]
-    seg_ends = starts[1:] + [horizon]
+    seg_ends = [s for s, _ in first.schedule[1:]] + [horizon]
     class_gaps = [
-        [1.0 / rates[idx] if rates[idx] > 0.0 else None for _, rates in scenario.schedule]
+        [1.0 / rates[idx] if rates[idx] > 0.0 else None for _, rates in first.schedule]
         for idx in range(m_count)
     ]
 
-    seed_seq = np.random.SeedSequence(scenario.seed)
-    child_seqs = seed_seq.spawn(m_count + 1)
+    child_seqs = np.random.SeedSequence(first.seed).spawn(m_count + 1)
     windows = _arrival_windows(
         [
             _arrival_chunks(np.random.default_rng(s), gaps, seg_ends)
@@ -577,45 +661,19 @@ def run_simulation(scenario: Scenario) -> SimReport:
         ],
         horizon,
     )
-    holding_rng = np.random.default_rng(child_seqs[m_count])
-    holding_scale = 1.0 / params.service_rate
-    # Holding draws, fetched in blocks: ``standard_exponential(n)[i] * scale``
-    # is bitwise equal to the i-th of n successive ``exponential(scale)`` calls.
-    draws: list[float] = []
-    used = 0
-    # Pending departure times; the infinite sentinel keeps deps[0] defined.
-    deps = [math.inf]
-    occupied = 0
-    policy = _admission_policy(scenario)
-    tally = _Tally(scenario, starts, seg_ends)
-
+    lanes = [_Lane(scenario, child_seqs[m_count]) for scenario in scenarios]
     for times, classes in windows:
-        limits, high = policy(times, classes)
-        # Enough holding draws for every arrival of the window to be admitted.
-        while len(draws) - used < len(times):
-            draws = draws[used:] + holding_rng.standard_exponential(_DRAW_BLOCK).tolist()
-            used = 0
-        decisions = bytearray()  # one 0/1 byte per arrival
-        departures = []
-        for t, limit in zip(times.tolist(), limits.tolist()):
-            # Departures at or before this arrival go first; the end marker
-            # sits at the horizon, so departures there still count.
-            while deps[0] <= t:
-                departures.append(heappop(deps))
-                occupied -= 1
-                assert occupied >= 0
-            admitted = occupied < limit
-            decisions.append(admitted)
-            if admitted:
-                occupied += 1
-                assert occupied <= capacity
-                heappush(deps, t + draws[used] * holding_scale)
-                used += 1
-        tally.add(
-            times, classes, np.frombuffer(decisions, dtype=bool),
-            np.fromiter(departures, float, len(departures)), high,
-        )
+        tlist = times.tolist()
+        shared = lanes[0].tally.shared(times, classes)
+        for lane in lanes:
+            lane.advance(times, classes, tlist, shared)
 
-    # The tally's admissions minus departures must leave the loop's occupancy.
-    assert tally.occupied == occupied
-    return tally.report()
+    for lane in lanes:
+        # The tally's admissions minus departures must leave the loop's occupancy.
+        assert lane.tally.occupied == len(lane.deps) - 1
+    return [lane.tally.report() for lane in lanes]
+
+
+def run_simulation(scenario: Scenario) -> SimReport:
+    """Run one scenario to its horizon and report blocking and utilization."""
+    return _run_schemes([scenario])[0]

@@ -2,10 +2,12 @@
 
 For every (scheme, grid point) pair the sweep computes the analytic
 blocking report and, when enabled, pooled simulation estimates across the
-seed list. The simulation runs share out over every usable CPU and are
-pooled back in sweep order. Rows come out in (scheme, total rate, class)
-order with class 0 the pooled class over all of 1..M, so repeated runs of
-the same config are byte-identical, on any number of CPUs.
+seed list. The simulation goes out as one task per (grid point, seed),
+which runs every scheme on the same arrivals; the tasks share out over
+every usable CPU and the runs are pooled back in sweep order. Rows come
+out in (scheme, total rate, class) order with class 0 the pooled class
+over all of 1..M, so repeated runs of the same config are byte-identical,
+on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
-from itertools import islice, product
+from itertools import product
 from operator import attrgetter
 from pathlib import Path
 
@@ -32,7 +34,7 @@ from .markov import (
     quasi_stationary_curve,
     steady_state,
 )
-from .simulate import Scenario, Scheme, blocking_stderr, run_simulation
+from .simulate import Scenario, Scheme, _run_schemes, blocking_stderr, run_simulation
 from .traffic import classify_load
 
 _CSV_HEADER = (
@@ -73,24 +75,37 @@ def _limits(config: SweepConfig, scheme: Scheme, rates: tuple[float, ...]) -> tu
     return config.fixed_thresholds.limits
 
 
-def _simulate(scenario: Scenario) -> tuple[tuple[int, ...], tuple[int, ...], float]:
-    """One run's per-class blocked and offered counts and its utilization:
-    all that a pool worker sends back."""
-    report = run_simulation(scenario)
-    return report.blocked, report.offered, report.utilization
+def _simulate(scenarios: list[Scenario]) -> list:
+    """The runs of one (grid point, seed), one per scheme: each run's
+    per-class blocked and offered counts and its utilization, or the
+    exception it raised. All that a pool worker sends back.
 
-
-def _simulated(scenarios: list[Scenario]):
-    """Yield :func:`_simulate` of every scenario, in order.
-
-    On Linux the runs go to one forked worker per CPU in the affinity mask,
-    up to one per run; with a single worker, or elsewhere, they run in this
-    process. A failed run raises when its turn comes, and the runs still
-    queued are cancelled.
+    The schemes share one arrival walk. Should that shared run fail, each
+    scheme runs again alone, so an error goes to the scheme that raised it.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(scenarios)) if sys.platform == "linux" else 1
+    try:
+        reports = _run_schemes(scenarios)
+    except Exception:
+        reports = []
+        for scenario in scenarios:
+            try:
+                reports.append(run_simulation(scenario))
+            except Exception as exc:
+                reports.append(exc)
+    return [r if isinstance(r, Exception) else (r.blocked, r.offered, r.utilization) for r in reports]
+
+
+def _simulated(tasks: list[list[Scenario]]):
+    """Yield :func:`_simulate` of every task, in order.
+
+    On Linux the tasks go to one forked worker per CPU in the affinity
+    mask, up to one per task; with a single worker, or elsewhere, they run
+    in this process. A task that cannot finish raises when its turn comes,
+    and the tasks still queued are cancelled when the generator closes.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(tasks)) if sys.platform == "linux" else 1
     if workers < 2:
-        yield from map(_simulate, scenarios)
+        yield from map(_simulate, tasks)
         return
     # Imported here: an analytic sweep never pays for them.
     import multiprocessing
@@ -100,7 +115,7 @@ def _simulated(scenarios: list[Scenario]):
     # import numpy again each, and fork leaves no helper process behind.
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        yield from pool.map(_simulate, scenarios)
+        yield from pool.map(_simulate, tasks)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -114,12 +129,13 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     classes 1..M; see :class:`ResultRow`.
 
     The analytic reports and the simulation scenarios of every point are
-    made here first, then the runs go through :func:`_simulated` and are
-    pooled per point in sweep order, so the rows do not depend on where
-    they ran. Schemes that hold the same limits at the same rates share one
-    report, as light dynamic points share the shared pool's, and the shared
-    pool's reports come from one batch. A failure names the first grid
-    point, in sweep order, that failed.
+    made here first. Every scheme due at a (grid point, seed) is simulated
+    in one task on the same arrivals, through :func:`_simulated`, and the
+    runs are pooled per point in sweep order, so the rows do not depend on
+    where they ran. Schemes that hold the same limits at the same rates
+    share one report, as light dynamic points share the shared pool's, and
+    the shared pool's reports come from one batch. A failure names the
+    first grid point, in sweep order, that failed.
     """
     keyed = []  # (scheme, lam_total, rates, mode, (limits, rates))
     reports: dict[tuple, BlockingReport] = {}  # by (limits, rates)
@@ -139,39 +155,50 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     with suppress(Exception):
         reports.update(zip(pool, _pool_reports(config.params, [rates for _, rates in pool])))
     points = []  # (scheme, lam_total, analytic blocking, analytic utilization, mode)
-    scenarios: list[Scenario] = []
+    seeds = config.sim_seeds if config.sim_enabled else ()
+    tasks: dict[tuple[float, int], list[Scenario]] = {}  # by (lam_total, seed), schemes in sweep order
     for scheme, lam_total, rates, mode, key in keyed:
         try:
             if key not in reports:
                 reports[key] = _point_report(config.params, *key)
             report = reports[key]
             pooled = math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
-            if config.sim_enabled:
-                scenarios += [
-                    Scenario(
-                        params=config.params,
-                        schedule=((0.0, rates),),
-                        horizon=config.horizon(lam_total),
-                        seed=seed,
-                        scheme=scheme,
-                        fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
-                    )
-                    for seed in config.sim_seeds
-                ]
+            scenarios = [
+                Scenario(
+                    params=config.params,
+                    schedule=((0.0, rates),),
+                    horizon=config.horizon(lam_total),
+                    seed=seed,
+                    scheme=scheme,
+                    fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
+                )
+                for seed in seeds
+            ]
         except Exception as exc:
             failure = (scheme, lam_total, exc)
             break
         points.append((scheme, lam_total, (pooled, *report.blocking), report.utilization, mode))
+        for scenario in scenarios:
+            tasks.setdefault((lam_total, scenario.seed), []).append(scenario)
 
-    runs_per_point = len(config.sim_seeds) if config.sim_enabled else 0
-    runs = _simulated(scenarios)
+    queued = iter(tasks.items())
+    runs = _simulated(list(tasks.values()))
+    done: dict[tuple[float, int], dict] = {}  # each finished task's runs, by scheme
     rows: list[ResultRow] = []
     try:
         for scheme, lam_total, analytic, utilization, mode in points:
-            try:
-                point_runs = list(islice(runs, runs_per_point))
-            except Exception as exc:
-                raise _point_error(scheme, lam_total, exc) from exc
+            point_runs = []
+            for seed in seeds:
+                try:
+                    while (lam_total, seed) not in done:
+                        task, group = next(queued)
+                        done[task] = dict(zip((s.scheme for s in group), next(runs)))
+                except Exception as exc:
+                    raise _point_error(scheme, lam_total, exc) from exc
+                run = done[lam_total, seed][scheme]
+                if isinstance(run, Exception):
+                    raise _point_error(scheme, lam_total, run) from run
+                point_runs.append(run)
             # Index 0 pools every class; with no runs nothing is offered, so
             # the simulated columns stay empty.
             blocked = [0] * len(analytic)

@@ -2,7 +2,7 @@
 
 import hashlib
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from dynguard import (
     erlang_b,
     run_simulation,
 )
-from dynguard.simulate import _arrival_chunks, _arrival_windows
+from dynguard.simulate import _arrival_chunks, _arrival_windows, _run_schemes
 
 PARAMS_SMALL = SystemParams(4, 0, class_count=3)
 TV_SMALL = ThresholdVector((4, 3, 2))
@@ -511,3 +511,51 @@ class TestPinnedStreams:
         assert self.digest(rep) == (
             "b21b77a7c646e3011b013eb731debaec246b797bcb4ee551cd07e38c10f313a6"
         )
+
+
+class TestSharedRuns:
+    """Schemes run together on one arrival walk report what each reports alone."""
+
+    N40 = SystemParams(40, 20)  # high load from a total rate of 40 / 0.925, about 43.2
+
+    @classmethod
+    def group(cls, **base):
+        return [
+            Scenario(scheme=Scheme.DYNAMIC, **base),
+            Scenario(scheme=Scheme.FIXED_GUARD, fixed_thresholds=ThresholdVector((40, 32, 26)), **base),
+            Scenario(scheme=Scheme.NON_PRIORITY, **base),
+        ]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("lam_total", [20.0, 48.0], ids=["light", "heavy"])
+    def test_each_report_is_its_solo_run(self, lam_total, seed):
+        # 4000 to 9600 arrivals: several windows and holding-draw refills.
+        rates = tuple(m * lam_total for m in (0.4, 0.3, 0.3))
+        scenarios = self.group(params=self.N40, schedule=((0.0, rates),), horizon=200.0, seed=seed)
+        solo = [repr(run_simulation(s)) for s in scenarios]
+        assert [repr(r) for r in _run_schemes(scenarios)] == solo
+        assert [repr(r) for r in _run_schemes(scenarios[::-1])] == solo[::-1]
+
+    def test_multi_segment_schedule_with_trace(self):
+        schedule = tuple((k * 10.0, (8.0, 6.0, 6.0) if k % 2 else (24.0, 18.0, 18.0)) for k in range(10))
+        scenarios = self.group(params=self.N40, schedule=schedule, horizon=100.0, seed=3, record_trace=True)
+        reports = _run_schemes(scenarios)
+        assert [repr(r) for r in reports] == [repr(run_simulation(s)) for s in scenarios]
+        assert all(r.trace for r in reports)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(seed=2),
+            dict(horizon=120.0),
+            dict(schedule=((0.0, (8.0, 6.0, 6.0)), (50.0, (4.0, 3.0, 3.0)))),
+            dict(warmup=5.0),
+            dict(record_trace=True),
+        ],
+        ids=["seed", "horizon", "schedule", "warmup", "record_trace"],
+    )
+    def test_scenarios_must_differ_only_in_scheme(self, change):
+        base = dict(params=self.N40, schedule=((0.0, (8.0, 6.0, 6.0)),), horizon=100.0, seed=1)
+        first, fixed, _ = self.group(**base)
+        with pytest.raises(ValueError, match="differ only in scheme"):
+            _run_schemes([first, replace(fixed, **change)])

@@ -1,7 +1,8 @@
 """The windowed simulator against a per-event reference loop, bit for bit.
 
-``reference_run`` is the simulator as one Python loop over every event:
-each departure and arrival updates the time integrals, the segment walk and
+``reference_run`` is the simulator as one Python loop over every event,
+on arrivals it draws one at a time with ``per_draw_walk``: each departure
+and arrival updates the time integrals, the segment walk and
 the DYNAMIC estimator in turn. ``run_simulation`` splits that work into a
 vectorised admission policy, an occupancy-only loop and vectorised
 statistics; the tests here require ``repr`` of both reports to be equal,
@@ -18,46 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynguard import Scenario, Scheme, SystemParams, ThresholdVector, availability_thresholds, run_simulation
-from dynguard.simulate import (
-    SegmentStats,
-    SimReport,
-    _admission_policy,
-    _arrival_chunks,
-    _exact_sums,
-    blocking_stderr,
-)
+from dynguard.simulate import SegmentStats, SimReport, _admission_policy, _exact_sums, blocking_stderr
 from dynguard.traffic import MIN_GAP, _class_limit, _observe_gap
+from test_simulate import per_draw_walk
 
 
 def _exponentials(rng):
     while True:
         yield from rng.standard_exponential(1024).tolist()
-
-
-def _one_chunk_windows(streams, horizon):
-    """Every pending arrival up to the earliest ``known`` time, one chunk per class."""
-    pending = [next(stream, None) for stream in streams]
-    while any(p is not None for p in pending):
-        w = min(p[1] for p in pending if p is not None)
-        times, classes = [], []
-        for idx, p in enumerate(pending):
-            if p is None:
-                continue
-            chunk, known = p
-            n = int(np.searchsorted(chunk, w, side="right"))
-            if n == len(chunk) and known <= w:
-                pending[idx] = next(streams[idx], None)
-            elif n:
-                pending[idx] = (chunk[n:], known)
-            if n:
-                times.append(chunk[:n])
-                classes.append(np.full(n, idx))
-        if not times:
-            continue
-        times = np.concatenate(times)
-        order = np.argsort(times, kind="stable")
-        yield times[order].tolist(), np.concatenate(classes)[order].tolist()
-    yield [horizon], [-1]
 
 
 def reference_run(scenario: Scenario) -> SimReport:
@@ -80,13 +49,14 @@ def reference_run(scenario: Scenario) -> SimReport:
 
     seed_seq = np.random.SeedSequence(scenario.seed)
     child_seqs = seed_seq.spawn(m_count + 1)
-    arrivals = _one_chunk_windows(
-        [
-            _arrival_chunks(np.random.default_rng(s), gaps, seg_ends)
-            for s, gaps in zip(child_seqs, class_gaps)
-        ],
-        horizon,
+    # Every class's arrivals, drawn one at a time, in time order with ties
+    # in class order, then the end-of-run marker.
+    arrivals = sorted(
+        (t, idx)
+        for idx, (s, gaps) in enumerate(zip(child_seqs, class_gaps))
+        for t, _ in per_draw_walk(np.random.default_rng(s), gaps, seg_ends)
     )
+    arrivals.append((horizon, -1))
     holding_draws = _exponentials(np.random.default_rng(child_seqs[m_count]))
     holding_scale = 1.0 / params.service_rate
     deps = [math.inf]
@@ -110,71 +80,68 @@ def reference_run(scenario: Scenario) -> SimReport:
     occupied = 0
     admitted_total = 0
     departed_total = 0
-    arrived = 0
     trace = [] if scenario.record_trace else None
 
     prev_t = 0.0
     seg = 0
 
-    for times, classes in arrivals:
-        arrived += len(times)
-        for na, idx in zip(times, classes):
-            while True:
-                departing = deps[0] <= na
-                t = heappop(deps) if departing else na
-                lo = prev_t if prev_t > warmup else warmup
-                if t > lo:
-                    span = t - lo
-                    busy_time += occupied * span
-                    if mode_high:
-                        high_time += span
-                    else:
-                        light_time += span
-                    if t <= seg_ends[seg]:
-                        seg_busy[seg] += occupied * span
-                    else:
-                        x = lo
-                        k = seg
-                        while x < t:
-                            while seg_ends[k] <= x:
-                                k += 1
-                            upto = t if t < seg_ends[k] else seg_ends[k]
-                            seg_busy[k] += occupied * (upto - x)
-                            x = upto
-                prev_t = t
-                if not departing:
-                    break
-                occupied -= 1
-                departed_total += 1
-                assert occupied >= 0
-            if idx < 0:
+    for na, idx in arrivals:
+        while True:
+            departing = deps[0] <= na
+            t = heappop(deps) if departing else na
+            lo = prev_t if prev_t > warmup else warmup
+            if t > lo:
+                span = t - lo
+                busy_time += occupied * span
+                if mode_high:
+                    high_time += span
+                else:
+                    light_time += span
+                if t <= seg_ends[seg]:
+                    seg_busy[seg] += occupied * span
+                else:
+                    x = lo
+                    k = seg
+                    while x < t:
+                        while seg_ends[k] <= x:
+                            k += 1
+                        upto = t if t < seg_ends[k] else seg_ends[k]
+                        seg_busy[k] += occupied * (upto - x)
+                        x = upto
+            prev_t = t
+            if not departing:
                 break
-            while seg_ends[seg] <= t:
-                seg += 1
+            occupied -= 1
+            departed_total += 1
+            assert occupied >= 0
+        if idx < 0:
+            break
+        while seg_ends[seg] <= t:
+            seg += 1
 
-            limit = limits[idx]
-            if dynamic:
-                if _observe_gap(last_seen, estimates, idx, t):
-                    missing -= 1
-                if not missing:
-                    lam_total = math.fsum(estimates)
-                    mode_high = lam_total >= high_rate
-                    if mode_high and idx:
-                        limit = _class_limit(estimates, lam_total, capacity, pool, idx)
+        limit = limits[idx]
+        if dynamic:
+            if _observe_gap(last_seen, estimates, idx, t):
+                missing -= 1
+            if not missing:
+                lam_total = math.fsum(estimates)
+                mode_high = lam_total >= high_rate
+                if mode_high and idx:
+                    limit = _class_limit(estimates, lam_total, capacity, pool, idx)
 
-            admitted = occupied < limit
-            measured = t >= warmup
-            if measured:
-                seg_offered[seg][idx] += 1
-            if admitted:
-                occupied += 1
-                admitted_total += 1
-                assert occupied <= capacity
-                heappush(deps, t + next(holding_draws) * holding_scale)
-            elif measured:
-                seg_blocked[seg][idx] += 1
-            if trace is not None:
-                trace.append((t, idx + 1, admitted))
+        admitted = occupied < limit
+        measured = t >= warmup
+        if measured:
+            seg_offered[seg][idx] += 1
+        if admitted:
+            occupied += 1
+            admitted_total += 1
+            assert occupied <= capacity
+            heappush(deps, t + next(holding_draws) * holding_scale)
+        elif measured:
+            seg_blocked[seg][idx] += 1
+        if trace is not None:
+            trace.append((t, idx + 1, admitted))
 
     assert admitted_total - departed_total == occupied
 
@@ -203,7 +170,7 @@ def reference_run(scenario: Scenario) -> SimReport:
         utilization=busy_time / (capacity * measured_time),
         light_time_fraction=light_time / measured_time,
         high_time_fraction=high_time / measured_time,
-        event_count=arrived - 1 + departed_total,
+        event_count=len(arrivals) - 1 + departed_total,
         segments=tuple(seg_stats),
         trace=tuple(trace) if trace is not None else None,
     )
@@ -269,8 +236,11 @@ FIXED40 = ThresholdVector((40, 32, 26))
             ),
             horizon=400.0, seed=25, warmup=35.0, record_trace=True,
         ),
+        # Mean holding time 1e308: most holding times overflow to inf.
+        Scenario(params=SystemParams(4, 2, service_rate=1e-308), schedule=((0.0, (1.0, 1.0, 1.0)),),
+                 horizon=50.0, seed=26, record_trace=True),
     ],
-    ids=["dynamic", "dynamic-trace", "fixed-trace", "nonpriority", "schedule"],
+    ids=["dynamic", "dynamic-trace", "fixed-trace", "nonpriority", "schedule", "overflowing-holds"],
 )
 def test_long_runs_match_the_reference(scenario):
     assert repr(run_simulation(scenario)) == repr(reference_run(scenario))

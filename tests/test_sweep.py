@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from dynguard import (
     erlang_b,
     run_sweep,
 )
-from dynguard import markov, sweep
+from dynguard import markov, simulate, sweep
 from dynguard.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -327,22 +328,33 @@ def use_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def patch_runs(monkeypatch, fail_at=None, pid_log=None):
-    """Make every run at total rate ``fail_at`` raise, and log each run's process id.
+# The task the sweep hands its workers, one per (grid point, seed), unpatched.
+REAL_TASK = sweep._simulate
 
-    Forked workers inherit the patched module attribute.
+
+def faulty_task(fails, pid_log, scenarios):
+    """The real task, with each run whose (scheme, horizon) is in ``fails``
+    replaced by an error, after logging this process's id."""
+    if pid_log is not None:
+        with open(pid_log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+    return [
+        RuntimeError("boom") if (s.scheme, s.horizon) in fails else run
+        for s, run in zip(scenarios, REAL_TASK(scenarios))
+    ]
+
+
+def patch_runs(monkeypatch, fail_at=None, pid_log=None, fails=()):
+    """Make every run at total rate ``fail_at``, and the run of each (scheme,
+    total rate) in ``fails``, fail, and log each task's process id.
+
+    The sweep sends its task function to the workers by name, so the patch
+    is a partial of a module-level function, which pickles.
     """
-    real = sweep.run_simulation
-
-    def patched(scenario):
-        if pid_log is not None:
-            with open(pid_log, "a") as fh:
-                fh.write(f"{os.getpid()}\n")
-        if fail_at is not None and scenario.horizon == POOLED_CFG.horizon(fail_at):
-            raise RuntimeError("boom")
-        return real(scenario)
-
-    monkeypatch.setattr(sweep, "run_simulation", patched)
+    failing = {(scheme, POOLED_CFG.horizon(lam)) for scheme, lam in fails}
+    if fail_at is not None:
+        failing |= {(scheme, POOLED_CFG.horizon(fail_at)) for scheme in Scheme}
+    monkeypatch.setattr(sweep, "_simulate", partial(faulty_task, frozenset(failing), pid_log))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="the sweep forks workers on Linux only")
@@ -371,6 +383,31 @@ class TestWorkerPool:
         use_cpus(monkeypatch, 2)
         patch_runs(monkeypatch, fail_at=12.0)
         with pytest.raises(SweepError, match=r"^scheme=dynamic lambda_total=12: boom$"):
+            run_sweep(POOLED_CFG)
+        assert multiprocessing.active_children() == []
+
+    def test_an_earlier_point_of_a_later_task_wins(self, monkeypatch):
+        # The task at 6 returns first, with only the fixed run failed; the
+        # dynamic run at 12 comes first in sweep order.
+        use_cpus(monkeypatch, 2)
+        patch_runs(monkeypatch, fails=[(Scheme.FIXED_GUARD, 6.0), (Scheme.DYNAMIC, 12.0)])
+        with pytest.raises(SweepError, match=r"^scheme=dynamic lambda_total=12: boom$"):
+            run_sweep(POOLED_CFG)
+        assert multiprocessing.active_children() == []
+
+    def test_a_failure_goes_to_its_scheme_not_its_task(self, monkeypatch):
+        # Only the fixed scheme's run at 6 raises; the dynamic and
+        # non-priority runs of the same task finish.
+        use_cpus(monkeypatch, 2)
+        real = simulate._admission_policy
+
+        def policy(scenario):
+            if scenario.scheme is Scheme.FIXED_GUARD and scenario.horizon == POOLED_CFG.horizon(6.0):
+                raise RuntimeError("fixed bust")
+            return real(scenario)
+
+        monkeypatch.setattr(simulate, "_admission_policy", policy)
+        with pytest.raises(SweepError, match=r"^scheme=fixed lambda_total=6: fixed bust$"):
             run_sweep(POOLED_CFG)
         assert multiprocessing.active_children() == []
 
