@@ -436,53 +436,44 @@ class _Tally:
         self.events = 0  # window entries and departures, the end marker included
         self.trace = [] if scenario.record_trace else None
 
-    def shared(self, times, classes):
-        """What :meth:`add` takes from a window whatever was admitted.
+    def count_keys(self, times, classes):
+        """A window's measured arrivals (post-warmup, not the end marker) and
+        each one's count key, 2 * (segment * M + class).
 
-        That is the measured arrivals (post-warmup, not the end marker),
-        each one's count key, 2 * (segment * M + class), and the trace's
-        class labels when a trace is kept. It reads only the warmup, the
-        segment table and the trace setting, so scenarios equal in those
-        can share it.
+        They read only the warmup and the segment table, not what was
+        admitted, so tallies of scenarios equal in those can share them.
         """
         measured = times >= self.warmup
         measured &= classes >= 0
         seg = np.searchsorted(self.ends, times[measured], side="right")
-        keys = (seg * self.m_count + classes[measured]) * 2
-        labels = (classes + 1).tolist() if self.trace is not None else None
-        return measured, keys, labels
+        return measured, (seg * self.m_count + classes[measured]) * 2
 
-    def add(self, times, tlist, shared, admitted, departures, high):
-        """Account for one window.
+    def add(self, times, classes, tlist, admitted, departures, high, keyed=None):
+        """Account for one window and return its :meth:`count_keys`.
 
-        ``times`` are the window's arrival times and ``tlist`` the same as
-        a list, ``shared`` is :meth:`shared` of the window, ``admitted`` the
-        decisions, ``departures`` the departure times processed during the
-        window, in order, and ``high`` the modes from the admission policy.
+        ``times``/``classes`` are the window's arrivals and ``tlist`` the
+        times as a list, ``admitted`` their decisions, ``departures`` the
+        departure times processed during the window, in order, and ``high``
+        the modes from the admission policy. ``keyed`` is the window's
+        :meth:`count_keys` when another tally has made it.
         """
         d = len(departures)
         joined = np.concatenate((departures, times))
         # A stable merge of two sorted runs, departures first on ties.
         order = np.argsort(joined, kind="stable")
-        # Event times and the occupancy before each event, each led by the
-        # value carried from the last window, so the last entry is the
-        # value to carry on.
-        t = np.empty(len(joined) + 1)
-        t[0] = self.prev_t
-        t[1:] = joined[order]
-        occ = np.empty_like(t)
-        occ[0] = self.occupied
-        occ[1:] = np.concatenate((np.full(d, -1.0), admitted))[order]
-        np.cumsum(occ, out=occ)
-        clip = self.prev_t < self.warmup  # else every event is past the warmup
+        t = joined[order]
+        step = np.concatenate((np.full(d, -1.0), admitted))[order]
+        occ = np.cumsum(step)
+        occ -= step
+        occ += self.occupied  # occupancy before each event, a whole float
+        self.occupied = int(occ[-1] + step[-1])
+        lo = np.empty_like(t)
+        lo[0] = self.prev_t
+        lo[1:] = t[:-1]
         self.prev_t = float(t[-1])
-        self.occupied = int(occ[-1])
-        lo, t, occ = t[:-1], t[1:], occ[:-1]
-        if clip:
-            lo = np.maximum(lo, self.warmup)
+        np.maximum(lo, self.warmup, out=lo)
         span = t - lo
-        if clip:
-            np.maximum(span, 0.0, out=span)
+        np.maximum(span, 0.0, out=span)
         busy = occ * span
         self.busy_time = _add_in_order(self.busy_time, busy)
         if high.all():
@@ -491,10 +482,10 @@ class _Tally:
             self.light_time = _add_in_order(self.light_time, span)
         else:
             # The mode in force up to each event is the one after the
-            # arrivals ahead of it.
-            arrival = order >= d
-            ahead = np.cumsum(arrival)
-            ahead -= arrival
+            # arrivals ahead of it; entry p is arrival order[p] - d or
+            # departure order[p], with p - order[p] arrivals ahead.
+            ahead = order - d
+            ahead[ahead < 0] = np.flatnonzero(ahead < 0) - order[ahead < 0]
             high_span = span * high[ahead]
             self.high_time = _add_in_order(self.high_time, high_span)
             self.light_time = _add_in_order(self.light_time, span - high_span)
@@ -503,7 +494,9 @@ class _Tally:
         if len(ends) > 1:  # else the one segment's busy time is busy_time
             self._split_at_segment_ends(t, lo, occ, busy)
 
-        measured, keys, labels = shared
+        if keyed is None:
+            keyed = self.count_keys(times, classes)
+        measured, keys = keyed
         if len(keys):
             # Per segment and class: [blocked, admitted] counts.
             counts = np.bincount(keys + admitted[measured], minlength=2 * self.offered.size)
@@ -513,7 +506,8 @@ class _Tally:
 
         self.events += len(joined)
         if self.trace is not None:
-            self.trace.extend(zip(tlist, labels, admitted.tolist()))
+            self.trace.extend(zip(tlist, (classes + 1).tolist(), admitted.tolist()))
+        return keyed
 
     def _split_at_segment_ends(self, t, lo, occ, busy):
         """Add each event's occupancy-time over (lo, t] to the segments it spans.
@@ -594,8 +588,9 @@ class _Lane:
         self.deps = [math.inf]
         self.tally = _Tally(scenario)
 
-    def advance(self, times, classes, tlist, shared) -> None:
-        """Take one arrival window through the policy, the occupancy loop and the tally."""
+    def advance(self, times, classes, tlist, keyed):
+        """Take one arrival window through the policy, the occupancy loop and
+        the tally; ``keyed`` and the return value are as in :meth:`_Tally.add`."""
         limits, high = self.policy(times, classes)
         # Admission needs fewer busy channels than the limit, so no limit
         # above the capacity means the occupancy never exceeds it.
@@ -623,9 +618,9 @@ class _Lane:
             else:
                 decisions.append(0)
         self.holds, self.used = holds, used
-        self.tally.add(
-            times, tlist, shared, np.frombuffer(decisions, dtype=bool),
-            np.fromiter(departures, float, len(departures)), high,
+        return self.tally.add(
+            times, classes, tlist, np.frombuffer(decisions, dtype=bool),
+            np.fromiter(departures, float, len(departures)), high, keyed,
         )
 
 
@@ -664,9 +659,12 @@ def _run_schemes(scenarios) -> list[SimReport]:
     lanes = [_Lane(scenario, child_seqs[m_count]) for scenario in scenarios]
     for times, classes in windows:
         tlist = times.tolist()
-        shared = lanes[0].tally.shared(times, classes)
+        # The first tally makes the count keys after its loop, not ahead of
+        # it, so a run alone allocates in the order it always did (its peak
+        # resident memory depends on that order).
+        keyed = None
         for lane in lanes:
-            lane.advance(times, classes, tlist, shared)
+            keyed = lane.advance(times, classes, tlist, keyed)
 
     for lane in lanes:
         # The tally's admissions minus departures must leave the loop's occupancy.

@@ -22,6 +22,7 @@ from dynguard import (
     run_simulation,
 )
 from dynguard.simulate import _arrival_chunks, _arrival_windows, _run_schemes
+from walks import per_draw_walk
 
 PARAMS_SMALL = SystemParams(4, 0, class_count=3)
 TV_SMALL = ThresholdVector((4, 3, 2))
@@ -383,26 +384,6 @@ class TestEstimatorBias:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_gap_estimator_reads_high_half_the_time(self, seed):
         assert 0.4 <= self.high_fraction(seed) <= 0.7
-
-
-def per_draw_walk(rng, scales, seg_ends):
-    """Reference arrival walk of one class: one candidate time per draw."""
-
-    def draws():
-        while True:
-            yield from rng.standard_exponential(1024).tolist()
-
-    stream = draws()
-    arrivals, t = [], 0.0
-    for k, (scale, end) in enumerate(zip(scales, seg_ends)):
-        while scale is not None:
-            candidate = t + next(stream) * scale
-            if candidate >= end:  # discarded; the walk restarts at the end
-                break
-            arrivals.append((candidate, k))
-            t = candidate
-        t = end
-    return arrivals
 
 
 class TestArrivalStreams:

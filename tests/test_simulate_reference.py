@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 from dynguard import Scenario, Scheme, SystemParams, ThresholdVector, availability_thresholds, run_simulation
 from dynguard.simulate import SegmentStats, SimReport, _admission_policy, _exact_sums, blocking_stderr
 from dynguard.traffic import MIN_GAP, _class_limit, _observe_gap
-from test_simulate import per_draw_walk
-
-
-def _exponentials(rng):
-    while True:
-        yield from rng.standard_exponential(1024).tolist()
+from walks import exponentials, per_draw_walk
 
 
 def reference_run(scenario: Scenario) -> SimReport:
@@ -57,7 +52,7 @@ def reference_run(scenario: Scenario) -> SimReport:
         for t, _ in per_draw_walk(np.random.default_rng(s), gaps, seg_ends)
     )
     arrivals.append((horizon, -1))
-    holding_draws = _exponentials(np.random.default_rng(child_seqs[m_count]))
+    holding_draws = exponentials(np.random.default_rng(child_seqs[m_count]))
     holding_scale = 1.0 / params.service_rate
     deps = [math.inf]
 
