@@ -156,6 +156,8 @@ class SteadyStateDistribution:
 
     def tail(self, start: int) -> float:
         """Probability of occupancy >= ``start``; see :func:`_exact_sum`."""
+        if not (isinstance(start, int) and start >= 0):
+            raise ValueError(f"tail start must be an int >= 0, got {start!r}")
         terms = self.probabilities[start:]
         if len(terms) <= _SHORT_SUM:
             # Finite terms, and fsum is correctly rounded in any order: the float _exact_sum gives.
@@ -173,7 +175,6 @@ class BlockingReport:
 
     blocking: tuple[float, ...]
     utilization: float
-    carried_load: float
     mean_occupancy: float
 
 
@@ -236,7 +237,6 @@ def _chain_report(p: np.ndarray, limits: tuple[int, ...]) -> BlockingReport:
     return BlockingReport(
         blocking=tuple(_exact_sum(p[lim:]) for lim in limits),
         utilization=mean_occ / n if n else 0.0,
-        carried_load=mean_occ,
         mean_occupancy=mean_occ,
     )
 
@@ -362,7 +362,7 @@ def _pool_reports(params: SystemParams, rate_vectors) -> list[BlockingReport]:
     a_b = a * _erlang_b(n - 1, a)
     utilization = a / (n + a_b)
     columns = (np.atleast_1d(x).tolist() for x in (a_b / (n + a_b), utilization, utilization * n))
-    return [BlockingReport((b,) * params.class_count, u, c, c) for b, u, c in zip(*columns)]
+    return [BlockingReport((b,) * params.class_count, u, c) for b, u, c in zip(*columns)]
 
 
 def nonpriority_report(params: SystemParams, rates) -> BlockingReport:

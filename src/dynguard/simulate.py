@@ -11,9 +11,10 @@ shared-pool baselines run through the same stages for comparison.
 A run is deterministic for a given scenario and seed: each class draws its
 inter-arrival times from its own seeded stream and holding times come from
 one more, so changing one class's traffic never perturbs the others.
-Arrival times never depend on admission decisions, so each class's are
-computed ahead in blocks and merged into bounded time windows. Each window
-then goes through three stages:
+Arrival times never depend on admission decisions, so one array pass
+walks every class through each segment ahead of the admissions and cuts
+the arrivals into bounded time windows (:func:`_arrival_windows`). Each
+window then goes through three stages:
 
 1. Policy, in numpy (:func:`_admission_policy`): every arrival's admission
    limit and the load mode after it. They depend only on the arrivals, so
@@ -31,8 +32,8 @@ then goes through three stages:
    the one that loop gives. An arrival counts toward the segment whose
    [start, end) holds its time, and run totals sum the segments.
 
-Scenarios that differ only in their scheme share one arrival walk in
-:func:`_run_schemes`; :func:`run_simulation` is that runner with one.
+Scenarios that differ only in their scheme take the same windows of one
+walk in :func:`_run_schemes`; :func:`run_simulation` is that runner with one.
 """
 
 from __future__ import annotations
@@ -56,11 +57,12 @@ from .traffic import (
     as_rate_vector,
 )
 
-# Exponential draws fetched from a random stream at a time.
+# Exponential draws fetched from a random stream at a time, and the most
+# draws of one class in a round of the arrival walk.
 _DRAW_BLOCK = 1024
-# Arrivals pulled ahead before an arrival window is cut. Wide windows
-# spread the fixed cost of each window's numpy calls over many arrivals;
-# the window's arrays stay bounded.
+# Arrivals walked ahead before an arrival window is cut, so a window holds
+# at most this many plus one round of the walk. Wide windows spread the
+# fixed cost of each window's numpy calls over many arrivals.
 _WINDOW_ARRIVALS = 4096
 # Share of a run's horizon that is warmup by default, excluded from statistics.
 _WARMUP_SHARE = 0.1
@@ -194,92 +196,98 @@ class SimReport:
     trace: tuple[tuple[float, int, bool], ...] | None = None
 
 
-def _arrival_chunks(rng: np.random.Generator, scales, seg_ends):
-    """One class's arrival times as ``(times, known)`` chunks, in order.
+def _arrival_windows(rngs, class_gaps, seg_ends, horizon: float):
+    """Walk every class through each segment at once and yield the arrivals
+    in time-ordered windows.
 
-    ``scales[k]`` is the class's mean gap in segment k (None while silent)
-    and ``seg_ends[k]`` the segment's end. Inside a segment each draw x
-    gives the next arrival t + x*scale; the first one at or past the
-    segment end is discarded and the walk restarts at that end, which is
-    exact for piecewise-constant Poisson input (memorylessness). So every
-    time lies in [start, end) of the segment that drew it. Silent
-    segments consume no draws. Draws come in blocks of ``_DRAW_BLOCK``,
-    fetched only when needed, and a block's times are one cumulative sum:
-    ``cumsum`` is a sequential ``add.accumulate``, so every time is bitwise
-    equal to the per-draw additions. A time beyond the float range reads
-    inf, as a float addition gives it, and lies past the finite end like
-    any other overshoot. No later chunk holds a time before ``known``: the
-    segment end for the chunk that closes a segment (which may be empty),
-    else the chunk's last time.
+    ``class_gaps[c][k]`` is class c's mean gap in segment k (None while
+    silent) and ``seg_ends[k]`` the segment's end. Inside a segment each
+    draw x from ``rngs[c]`` gives the class's next arrival t + x*gap; the
+    first at or past the end is spent and the walk restarts at the end,
+    which is exact for piecewise-constant Poisson input (memorylessness).
+    So every time lies in [start, end) of the segment that drew it, and
+    silent segments consume no draws.
+
+    A segment is walked in rounds over the classes still inside it. The
+    busiest one sets how far a round reaches: the segment end, or one block
+    of its gaps if that comes first. Each class not past the reach takes
+    its expected draws up to it, with room for the spread, as one row of a
+    matrix, so the classes keep pace. A row never holds more than what is
+    left of the class's block, and a class fetches ``_DRAW_BLOCK`` draws
+    only when it has none left, so its stream advances as a per-draw walk's
+    would. The rows are scaled by the gaps, each class's time is added to
+    column 0, and one row-wise ``cumsum``, a sequential ``add.accumulate``,
+    gives every time bitwise equal to the per-draw additions. A time beyond
+    the float range reads inf, as a float addition gives it, and lies past
+    the finite end like any other overshoot. A row that reaches the end
+    leaves the segment; the others go on from their last time.
+
+    Once a round leaves at least ``_WINDOW_ARRIVALS`` arrivals pending, a
+    window is cut: every pending arrival up to the earliest time some class
+    has not walked past, as ``(times, classes)`` arrays sorted by time, ties
+    in class order. The last window is an end-of-run marker at the horizon
+    with class -1.
     """
-    t = 0.0
-    block = np.empty(0)
-    pos = 0
-    for scale, end in zip(scales, seg_ends):
-        while scale is not None:
-            if pos == len(block):
-                block = rng.standard_exponential(_DRAW_BLOCK)
-                pos = 0
-            with np.errstate(over="ignore"):
-                acc = block[pos:] * scale
-                acc[0] += t
-                np.cumsum(acc, out=acc)
-            n = int(np.searchsorted(acc, end, side="left"))
-            if n < len(acc):
-                pos += n + 1  # the overshoot draw is consumed
-                yield acc[:n], end
-                break
-            yield acc, acc[-1]
-            pos = len(block)
-            t = acc[-1]
-        t = end
-
-
-def _arrival_windows(streams, horizon: float):
-    """Merge per-class chunk streams into time-ordered arrival windows.
-
-    Chunks are pulled one at a time, always from the running class whose
-    pulled arrivals are known up to the earliest time, until at least
-    ``_WINDOW_ARRIVALS`` arrivals are pending or every stream has ended. A
-    window is then every pending arrival up to the earliest ``known`` time
-    among the running classes, as ``(times, classes)`` arrays sorted by
-    time, ties in class order. The last window ends with an end-of-run
-    marker at the horizon with class -1.
-    """
-    pending = [[] for _ in streams]  # each class's pulled, unmerged time arrays
-    known = [-math.inf] * len(streams)  # no later time of the class lies before this
-    running = set(range(len(streams)))
+    blocks = [np.empty(0) for _ in rngs]
+    used = [0] * len(rngs)  # draws spent from each class's block
+    pending = [[np.empty(0)] for _ in rngs]  # each class's walked, unmerged time arrays
     count = 0
-    while running or count:
-        while running:
-            idx = min(running, key=known.__getitem__)
-            chunk = next(streams[idx], None)
-            if chunk is None:
-                running.discard(idx)
-                known[idx] = math.inf
-            else:
-                pending[idx].append(chunk[0])
-                known[idx] = chunk[1]
-                count += len(chunk[0])
-                if count >= _WINDOW_ARRIVALS:
-                    break
-        w = min(known)
-        times, classes = [], []
-        for idx, arrays in enumerate(pending):
-            if not arrays:
-                continue
+
+    def cut(upto):
+        # The pending arrivals up to ``upto`` as a list of at most one window;
+        # a list, not a generator, so that only the window outlives the call.
+        nonlocal count
+        parts = []
+        for c, arrays in enumerate(pending):
             joined = np.concatenate(arrays)
-            n = int(np.searchsorted(joined, w, side="right"))
-            pending[idx] = [joined[n:]] if n < len(joined) else []
-            if n:
-                times.append(joined[:n])
-                classes.append(np.full(n, idx))
-        if not times:
-            continue
-        times = np.concatenate(times)
+            n = int(np.searchsorted(joined, upto, side="right"))
+            pending[c] = [joined[n:].copy()]  # a copy, so the part cut off is freed
+            parts.append(joined[:n])
+        times = np.concatenate(parts)
         count -= len(times)
         order = np.argsort(times, kind="stable")
-        yield times[order], np.concatenate(classes)[order]
+        classes = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        return [(times[order], classes[order])] if len(times) else []
+
+    for start, end, seg_gaps in zip([0.0, *seg_ends], seg_ends, zip(*class_gaps)):
+        gaps = {c: g for c, g in enumerate(seg_gaps) if g is not None}
+        at = dict.fromkeys(gaps, start)  # each class still in the segment, and its time
+        while at:
+            busiest = min(at, key=gaps.__getitem__)
+            reach = min(end, at[busiest] + _DRAW_BLOCK * gaps[busiest])
+            rows = []  # (class, draws) in this round
+            for c, t in at.items():
+                expected = (reach - t) / gaps[c]
+                if expected < 0.0:  # already past the reach: sits this round out
+                    continue
+                if used[c] == len(blocks[c]):
+                    blocks[c] = rngs[c].standard_exponential(_DRAW_BLOCK)
+                    used[c] = 0
+                # Four standard deviations of room; a share past the block,
+                # inf included, takes its rest and never reaches ceil().
+                share = expected + 4.0 * math.sqrt(expected) + 2.0
+                left = _DRAW_BLOCK - used[c]
+                rows.append((c, math.ceil(share) if share < left else left))
+            acc = np.full((len(rows), max(n for _, n in rows)), math.inf)
+            for r, (c, n) in enumerate(rows):
+                acc[r, :n] = blocks[c][used[c]:used[c] + n]
+            with np.errstate(over="ignore"):
+                acc *= [[gaps[c]] for c, _ in rows]
+                acc[:, 0] += [at[c] for c, _ in rows]
+                np.cumsum(acc, axis=1, out=acc)
+            inside = np.count_nonzero(acc < end, axis=1).tolist()
+            for r, ((c, n), got) in enumerate(zip(rows, inside)):
+                pending[c].append(acc[r, :got])
+                count += got
+                if got < n:
+                    used[c] += got + 1  # the overshoot draw is spent
+                    del at[c]
+                else:
+                    used[c] += n
+                    at[c] = float(acc[r, n - 1])
+            if count >= _WINDOW_ARRIVALS:
+                yield from cut(min(at.values(), default=end))
+    yield from cut(math.inf)
     yield np.array([horizon]), np.array([-1])
 
 
@@ -482,10 +490,9 @@ class _Tally:
             self.light_time = _add_in_order(self.light_time, span)
         else:
             # The mode in force up to each event is the one after the
-            # arrivals ahead of it; entry p is arrival order[p] - d or
-            # departure order[p], with p - order[p] arrivals ahead.
-            ahead = order - d
-            ahead[ahead < 0] = np.flatnonzero(ahead < 0) - order[ahead < 0]
+            # arrivals ahead of it.
+            is_arr = order >= d
+            ahead = np.cumsum(is_arr) - is_arr
             high_span = span * high[ahead]
             self.high_time = _add_in_order(self.high_time, high_span)
             self.light_time = _add_in_order(self.light_time, span - high_span)
@@ -640,22 +647,13 @@ def _run_schemes(scenarios) -> list[SimReport]:
     m_count = first.params.class_count
     horizon = first.horizon
 
-    # Segment table: end times, and each class's mean gap per segment (None
-    # while silent).
+    # Segment ends, and each segment's mean gap per class (None while silent).
     seg_ends = [s for s, _ in first.schedule[1:]] + [horizon]
-    class_gaps = [
-        [1.0 / rates[idx] if rates[idx] > 0.0 else None for _, rates in first.schedule]
-        for idx in range(m_count)
-    ]
+    seg_gaps = [[1.0 / r if r > 0.0 else None for r in rates] for _, rates in first.schedule]
 
     child_seqs = np.random.SeedSequence(first.seed).spawn(m_count + 1)
-    windows = _arrival_windows(
-        [
-            _arrival_chunks(np.random.default_rng(s), gaps, seg_ends)
-            for s, gaps in zip(child_seqs, class_gaps)
-        ],
-        horizon,
-    )
+    rngs = [np.random.default_rng(s) for s in child_seqs[:m_count]]
+    windows = _arrival_windows(rngs, list(zip(*seg_gaps)), seg_ends, horizon)
     lanes = [_Lane(scenario, child_seqs[m_count]) for scenario in scenarios]
     for times, classes in windows:
         tlist = times.tolist()

@@ -9,9 +9,11 @@ most 4 grid points written, ``sim.arrivals`` <= 300.
 import contextlib
 import io
 import math
+import os
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -122,7 +124,11 @@ def check_csv(text):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(config_texts())
 def test_config_loads_and_sweeps_or_names_its_line(text):
-    with tempfile.TemporaryDirectory() as tmp:
+    # One CPU keeps the runs in this process: forking a worker pool for
+    # every example costs more than the runs. TestWorkerPool in
+    # test_sweep.py covers the pool.
+    one_cpu = mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True)
+    with tempfile.TemporaryDirectory() as tmp, one_cpu:
         conf = Path(tmp) / "sweep.conf"
         conf.write_text(text)
         out = Path(tmp) / "out.csv"

@@ -277,7 +277,6 @@ class TestBlockingReport:
         assert rep.blocking == pytest.approx(BENCH_B, abs=1e-12)
         assert rep.utilization == pytest.approx(BENCH_UTIL, abs=1e-12)
         assert rep.mean_occupancy == pytest.approx(96 / 49, abs=1e-12)
-        assert rep.carried_load == pytest.approx(96 / 49, abs=1e-12)
 
     def test_degenerate_limits_reproduce_shared_pool(self):
         tv = ThresholdVector((2, 2, 2))
@@ -303,7 +302,6 @@ class TestBlockingReport:
             chain, tv, rates, mu = random_chain(rng)
             rep = blocking_report(steady_state(chain), tv, rates, mu)
             assert all(a <= b for a, b in zip(rep.blocking, rep.blocking[1:]))
-            assert rep.carried_load == rep.mean_occupancy
             if rep.mean_occupancy > 0:
                 admitted = math.fsum(lam * (1.0 - b) for lam, b in zip(rates, rep.blocking)) / mu
                 assert admitted == pytest.approx(rep.mean_occupancy, rel=1e-9)
@@ -312,7 +310,6 @@ class TestBlockingReport:
         params, mix = SystemParams(40, 20), (0.4, 0.3, 0.3)
         for lam_total in [1e3, 1e6, 1e9, 1e12, 1e17, 1e20]:
             rep = quasi_stationary_curve(params, mix, [lam_total])[0]
-            assert rep.carried_load == rep.mean_occupancy
             assert 39 < rep.mean_occupancy <= 40
             if lam_total <= 1e6:
                 admitted = math.fsum(m * lam_total * (1.0 - b) for m, b in zip(mix, rep.blocking))
@@ -487,6 +484,9 @@ class TestExactSums:
         p = dist.probabilities
         for start in (*thresholds.limits, 0, 1, len(p) - 1, len(p)):
             assert same_float(dist.tail(start), math.fsum(p[start:]))
+        for start in (-1, -len(p), 1.0):
+            with pytest.raises(ValueError, match=f"tail start must be an int >= 0, got {start!r}"):
+                dist.tail(start)
         mean = math.fsum(i * x for i, x in enumerate(p))
         assert same_float(dist.mean_occupancy(), mean)
         rep = blocking_report(dist, thresholds, rates, mu)
@@ -680,8 +680,8 @@ def test_batched_shared_pool_matches_per_point_reports():
         vectors = [tuple(x * load for x in rng.dirichlet(np.ones(m)).tolist()) for load in loads]
         for rates, batched in zip(vectors, _pool_reports(params, vectors), strict=True):
             single = nonpriority_report(params, rates)
-            for got, want in zip((*batched.blocking, batched.utilization, batched.carried_load, batched.mean_occupancy),
-                                 (*single.blocking, single.utilization, single.carried_load, single.mean_occupancy)):
+            for got, want in zip((*batched.blocking, batched.utilization, batched.mean_occupancy),
+                                 (*single.blocking, single.utilization, single.mean_occupancy)):
                 assert same_float(got, want)
     assert _pool_reports(SystemParams(1, 0), []) == []
 

@@ -21,7 +21,7 @@ from dynguard import (
     erlang_b,
     run_simulation,
 )
-from dynguard.simulate import _arrival_chunks, _arrival_windows, _run_schemes
+from dynguard.simulate import _DRAW_BLOCK, _WINDOW_ARRIVALS, _arrival_windows, _run_schemes
 from walks import per_draw_walk
 
 PARAMS_SMALL = SystemParams(4, 0, class_count=3)
@@ -403,10 +403,9 @@ class TestArrivalStreams:
     def test_chunks_match_per_draw_walk(self, scales, seg_ends):
         expected = per_draw_walk(np.random.default_rng(5), scales, seg_ends)
         rng = np.random.default_rng(5)
-        chunks = list(_arrival_chunks(rng, scales, seg_ends))
-        assert [t for times, _ in chunks for t in times.tolist()] == [t for t, _ in expected]
-        for (times, known), (later, _) in zip(chunks, chunks[1:]):
-            assert (times <= known).all() and (later >= known).all()
+        windows = list(_arrival_windows([rng], [scales], seg_ends, seg_ends[-1]))
+        assert windows[-1][0].tolist() == [seg_ends[-1]] and windows[-1][1].tolist() == [-1]
+        assert [t for times, _ in windows[:-1] for t in times.tolist()] == [t for t, _ in expected]
         reference_rng = np.random.default_rng(5)
         per_draw_walk(reference_rng, scales, seg_ends)
         assert rng.standard_exponential() == reference_rng.standard_exponential()
@@ -421,17 +420,30 @@ class TestArrivalStreams:
         assert counts([0.01, 0.5], [40.0, 45.0])[0] > 3 * 1024
 
     def test_windows_merge_in_time_then_class_order(self):
-        streams = [
-            iter([(np.array([1.0, 2.0]), 4.0), (np.array([4.5]), 9.0)]),
-            iter([]),
-            iter([(np.array([1.0, 1.5, 2.5]), 2.5), (np.array([]), 4.0),
-                  (np.array([4.5, 6.0]), 9.0)]),
-        ]
-        windows = [(t.tolist(), c.tolist()) for t, c in _arrival_windows(streams, 9.0)]
-        assert windows == [
-            ([1.0, 1.0, 1.5, 2.0, 2.5, 4.5, 4.5, 6.0], [0, 2, 2, 0, 2, 0, 2, 2]),
-            ([9.0], [-1]),
-        ]
+        # Class 0 is silent in the first segment and 1000 times busier than
+        # the others in the second; classes 1 and 2 share a seed and their
+        # gaps, so every arrival of theirs is a tie.
+        seg_ends = [3.0, 60.0]
+        class_gaps = [[None, 0.001], [0.5, 1.0], [0.5, 1.0]]
+        seeds = [7, 8, 8]
+        expected = sorted(
+            (t, c)
+            for c, (seed, gaps) in enumerate(zip(seeds, class_gaps))
+            for t, _ in per_draw_walk(np.random.default_rng(seed), gaps, seg_ends)
+        )
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        windows = list(_arrival_windows(rngs, class_gaps, seg_ends, 60.0))
+        *arrivals, (end_times, end_classes) = windows
+        assert end_times.tolist() == [60.0] and end_classes.tolist() == [-1]
+        assert len(arrivals) > 10
+        # One round walks at most a block of each class.
+        assert all(len(times) < _WINDOW_ARRIVALS + 3 * _DRAW_BLOCK for times, _ in arrivals)
+        got = [pair for times, classes in arrivals for pair in zip(times.tolist(), classes.tolist())]
+        assert got == expected
+        for seed, gaps, rng in zip(seeds, class_gaps, rngs):
+            reference_rng = np.random.default_rng(seed)
+            per_draw_walk(reference_rng, gaps, seg_ends)
+            assert rng.standard_exponential() == reference_rng.standard_exponential()
 
 
 class TestPinnedStreams:
