@@ -8,7 +8,7 @@ Three subcommands share one config format (see :mod:`dynguard.config`):
 
 ``--out`` overrides the config's output path; ``--seed`` replaces the
 config's seed list with a single seed. Exit codes: 0 success, 1 config or
-validation error, 2 runtime failure.
+validation error (a missing output directory among them), 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .config import ConfigError, load_config
 from .sweep import emit_csv, run_sweep
@@ -56,6 +57,9 @@ def main(argv=None) -> int:
         out = args.out or config.out_path
         if out is None:
             raise ConfigError("no output path: set 'out' in the config or pass --out")
+        if not Path(out).parent.is_dir():
+            source = "--out" if args.out else "the config's 'out'"
+            raise ConfigError(f"{source} {out}: directory {Path(out).parent} does not exist")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -4,10 +4,10 @@ For every (scheme, grid point) pair the sweep computes the analytic
 blocking report and, when enabled, pooled simulation estimates across the
 seed list. The simulation goes out as one task per (grid point, seed),
 which runs every scheme on the same arrivals; the tasks share out over
-every usable CPU and the runs are pooled back in sweep order. Rows come
-out in (scheme, total rate, class) order with class 0 the pooled class
-over all of 1..M, so repeated runs of the same config are byte-identical,
-on any number of CPUs.
+every usable CPU while each point, in sweep order, takes its report and
+then pools its runs. Rows come out in (scheme, total rate, class) order
+with class 0 the pooled class over all of 1..M, so repeated runs of the
+same config are byte-identical, on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -128,77 +128,64 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     """Evaluate every scheme at every grid point: the pooled class 0, then
     classes 1..M; see :class:`ResultRow`.
 
-    The analytic reports and the simulation scenarios of every point are
-    made here first. Every scheme due at a (grid point, seed) is simulated
-    in one task on the same arrivals, through :func:`_simulated`, and the
-    runs are pooled per point in sweep order, so the rows do not depend on
-    where they ran. Schemes that hold the same limits at the same rates
-    share one report, as light dynamic points share the shared pool's, and
-    the shared pool's reports come from one batch. A failure names the
-    first grid point, in sweep order, that failed.
+    Every scheme due at a (grid point, seed) is simulated in one task on the
+    same arrivals, through :func:`_simulated`, and all the tasks are handed
+    out first. The shared pool's reports come from one batch; schemes that
+    hold the same limits at the same rates share one report, as light
+    dynamic points share the shared pool's. Then each point in sweep order
+    takes its report and its runs, so the rows do not depend on where they
+    ran. A failure names the first grid point, in sweep order, that failed;
+    at one point the analytic report comes before the runs.
     """
-    keyed = []  # (scheme, lam_total, rates, mode, (limits, rates))
-    reports: dict[tuple, BlockingReport] = {}  # by (limits, rates)
-    failure = None
-    for scheme, lam_total in product(sorted(config.schemes, key=lambda s: s.value), config.grid):
-        try:
-            rates = tuple(m * lam_total for m in config.mix)
-            mode = classify_load(rates, config.params).value
-            keyed.append((scheme, lam_total, rates, mode, (_limits(config, scheme, rates), rates)))
-        except Exception as exc:
-            failure = (scheme, lam_total, exc)
-            break
-
-    # The shared pool's points are solved in one recursion. Should that fail,
-    # the loop below solves them one by one and so names the first failing point.
-    pool = list(dict.fromkeys(key for *_, key in keyed if key[0] is None))
-    with suppress(Exception):
-        reports.update(zip(pool, _pool_reports(config.params, [rates for _, rates in pool])))
-    points = []  # (scheme, lam_total, analytic blocking, analytic utilization, mode)
+    points = [
+        (scheme, lam_total, tuple(m * lam_total for m in config.mix))
+        for scheme, lam_total in product(sorted(config.schemes, key=lambda s: s.value), config.grid)
+    ]
     seeds = config.sim_seeds if config.sim_enabled else ()
     tasks: dict[tuple[float, int], list[Scenario]] = {}  # by (lam_total, seed), schemes in sweep order
-    for scheme, lam_total, rates, mode, key in keyed:
-        try:
-            if key not in reports:
-                reports[key] = _point_report(config.params, *key)
-            report = reports[key]
-            pooled = math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total
-            scenarios = [
-                Scenario(
-                    params=config.params,
-                    schedule=((0.0, rates),),
-                    horizon=config.horizon(lam_total),
-                    seed=seed,
-                    scheme=scheme,
-                    fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
-                )
-                for seed in seeds
-            ]
-        except Exception as exc:
-            failure = (scheme, lam_total, exc)
-            break
-        points.append((scheme, lam_total, (pooled, *report.blocking), report.utilization, mode))
-        for scenario in scenarios:
-            tasks.setdefault((lam_total, scenario.seed), []).append(scenario)
+    for (scheme, lam_total, rates), seed in product(points, seeds):
+        tasks.setdefault((lam_total, seed), []).append(
+            Scenario(
+                params=config.params,
+                schedule=((0.0, rates),),
+                horizon=config.horizon(lam_total),
+                seed=seed,
+                scheme=scheme,
+                fixed_thresholds=config.fixed_thresholds if scheme is Scheme.FIXED_GUARD else None,
+            )
+        )
+
+    # The shared pool's points are solved in one recursion. Should that fail,
+    # the walk below solves them one by one and so names the first failing point.
+    reports: dict[tuple, BlockingReport] = {}  # by (limits, rates)
+    with suppress(Exception):
+        pool = list(dict.fromkeys(r for s, _, r in points if _limits(config, s, r) is None))
+        reports.update(zip(((None, r) for r in pool), _pool_reports(config.params, pool)))
 
     queued = iter(tasks.items())
     runs = _simulated(list(tasks.values()))
     done: dict[tuple[float, int], dict] = {}  # each finished task's runs, by scheme
     rows: list[ResultRow] = []
     try:
-        for scheme, lam_total, analytic, utilization, mode in points:
-            point_runs = []
-            for seed in seeds:
-                try:
+        for scheme, lam_total, rates in points:
+            try:
+                mode = classify_load(rates, config.params).value
+                key = (_limits(config, scheme, rates), rates)
+                if key not in reports:
+                    reports[key] = _point_report(config.params, *key)
+                report = reports[key]
+                analytic = (math.fsum(r * b for r, b in zip(rates, report.blocking)) / lam_total, *report.blocking)
+                point_runs = []
+                for seed in seeds:
                     while (lam_total, seed) not in done:
                         task, group = next(queued)
                         done[task] = dict(zip((s.scheme for s in group), next(runs)))
-                except Exception as exc:
-                    raise _point_error(scheme, lam_total, exc) from exc
-                run = done[lam_total, seed][scheme]
-                if isinstance(run, Exception):
-                    raise _point_error(scheme, lam_total, run) from run
-                point_runs.append(run)
+                    run = done[lam_total, seed][scheme]
+                    if isinstance(run, Exception):
+                        raise run
+                    point_runs.append(run)
+            except Exception as exc:
+                raise _point_error(scheme, lam_total, exc) from exc
             # Index 0 pools every class; with no runs nothing is offered, so
             # the simulated columns stay empty.
             blocked = [0] * len(analytic)
@@ -213,12 +200,10 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
 
             for cls, (b, o) in enumerate(zip(blocked, offered)):
                 sim = (b / o if o else None, blocking_stderr(b, o))
-                util = (utilization, sim_util) if cls == 0 else (None, None)
+                util = (report.utilization, sim_util) if cls == 0 else (None, None)
                 rows.append(ResultRow(scheme.value, lam_total, cls, analytic[cls], *sim, *util, mode))
     finally:
         runs.close()
-    if failure is not None:
-        raise _point_error(*failure) from failure[2]
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from dynguard import cli
 from dynguard.cli import main
 
 CONF = """
@@ -98,6 +99,24 @@ def test_missing_out_exits_one(conf, capsys):
 
 
 def test_runtime_error_exits_two(conf, tmp_path, capsys):
-    out = tmp_path / "no_such_dir" / "out.csv"
+    out = tmp_path / "a_directory"  # its parent exists, but a directory cannot be written as a file
+    out.mkdir()
     assert main(["analytic", "--config", str(conf), "--out", str(out)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("from_flag", [True, False], ids=["--out", "config out"])
+def test_missing_out_directory_exits_one_before_the_sweep(tmp_path, monkeypatch, capsys, from_flag):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    missing = tmp_path / "no_such_dir"
+    out = missing / "out.csv"
+    conf = tmp_path / "sweep.conf"
+    conf.write_text(CONF if from_flag else CONF + f"out = {out}\n")
+    argv = ["simulate", "--config", str(conf)] + (["--out", str(out)] if from_flag else [])
+    assert main(argv) == 1
+    source = "--out" if from_flag else "the config's 'out'"
+    assert f"{source} {out}: directory {missing} does not exist" in capsys.readouterr().err
+    assert not missing.exists()

@@ -417,6 +417,7 @@ class TestWorkerPool:
             (6.0, 12.0, "^scheme=dynamic lambda_total=6: boom"),
             (12.0, 6.0, "^scheme=dynamic lambda_total=12: boom"),
             (None, 6.0, "^scheme=fixed lambda_total=6: bust"),
+            (12.0, 12.0, "^scheme=dynamic lambda_total=12: bust"),
         ],
     )
     def test_first_failure_in_sweep_order_wins(self, monkeypatch, run_fails, analytic_fails, named):
@@ -444,6 +445,7 @@ class TestWorkerPool:
             (12.0, None, None, "^scheme=nonpriority lambda_total=12: pool bust$"),
             (12.0, None, 6.0, "^scheme=fixed lambda_total=6: bust$"),
             (12.0, 12.0, None, "^scheme=dynamic lambda_total=12: boom$"),
+            (6.0, 6.0, None, "^scheme=dynamic lambda_total=6: pool bust$"),
         ],
     )
     def test_first_failure_wins_when_the_pool_batch_fails(
