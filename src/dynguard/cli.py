@@ -8,7 +8,8 @@ Three subcommands share one config format (see :mod:`dynguard.config`):
 
 ``--out`` overrides the config's output path; ``--seed`` replaces the
 config's seed list with a single seed. Exit codes: 0 success, 1 config or
-validation error (a missing output directory among them), 2 runtime failure.
+validation error (a missing output directory among them), 2 runtime failure,
+143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -42,6 +43,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Imported here, so importing the package does not pay for it. While the CLI
+    # runs, SIGTERM exits through every finally, so a sweep shuts its pool down.
+    import signal
+    import threading
+
+    if threading.current_thread() is not threading.main_thread():  # only it may set a handler
+        return _main(argv)
+    previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    try:
+        return _main(argv)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _main(argv) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)

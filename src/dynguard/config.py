@@ -61,11 +61,9 @@ def _csv_field(value) -> str:
     """How the sweep CSV prints a value: empty for None, reals to 9 significant digits."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return format(value, ".9g")
+    if type(value) is float or not isinstance(value, (str, int)):  # one check for a float
+        return format(value, ".9g")
+    return value if isinstance(value, str) else str(value)
 
 
 def _finite(value):

@@ -10,10 +10,10 @@ loss formula is included as the non-priority baseline.
 
 A chain stays a numpy array from its rates to its report
 (:func:`_point_report`); the public functions, whose types hold tuples,
-call the same helpers. The ratio recursion accumulates in blocks, so a
-rescale restarts only the rest of its block, a long exact sum is a numpy head
-and rest certified by fsum (:func:`_exact_sum`), and the shared pool's loss
-recursion runs once over an array of offered loads (:func:`_pool_reports`).
+call the same helpers. The ratio recursion accumulates from rescale to rescale
+in its growth region, a long exact sum is a numpy head and rest certified by
+fsum (:func:`_exact_sum`), and the shared pool's loss recursion runs once, in
+place, over an array of offered loads (:func:`_pool_reports`).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _ORACLE_MAX_STATES = 2000
 # Rescale trigger for the ratio recursion; keeps weights finite for any N.
 _RESCALE_LIMIT = 1e100
 
-# Weights per accumulate pass of the ratio recursion; a rescale restarts only its block.
+# The most weights one accumulate pass of the ratio recursion covers.
 _ACCUMULATE_BLOCK = 256
 
 # Exact sums of at most this many terms skip the head-and-rest split and its numpy calls.
@@ -196,31 +196,43 @@ def _births(limits: tuple[int, ...], vec: tuple[float, ...]) -> np.ndarray:
 def _distribution(births: np.ndarray, service_rate) -> np.ndarray:
     """Stationary distribution by the ratio recursion w_i = w_{i-1} * (birth_{i-1} / (i*mu)).
 
-    Dividing first keeps the product finite at huge rates. ``np.multiply.accumulate``
-    forms the product strictly left to right, one block of ``_ACCUMULATE_BLOCK``
-    weights at a time. Where a weight first passes ``_RESCALE_LIMIT``, the prefix is
-    scaled by its reciprocal and the accumulate restarts from the rescaled weight
-    over the rest of the block, so every weight is bitwise that of a loop that
-    rescales in place; products past that point may overflow and are overwritten.
-    The normalising total is :func:`_exact_sum`. The ratios never increase, so the
-    first, the offered load births[0] / mu, is the one that can overflow; it is
-    rejected as the shared pool rejects it.
+    Dividing first keeps the product finite at huge rates. The ratios never increase, so
+    weights rise, and can pass ``_RESCALE_LIMIT``, only up to the last ratio >= 1 (state
+    ``grow``). Up to it ``np.multiply.accumulate`` runs strictly left to right from the
+    latest weight, the source's head, over a predicted run of at most ``_ACCUMULATE_BLOCK``
+    weights: the last run between rescales plus a quarter, doubled while none crosses.
+    The first to cross rescales the weights by its reciprocal and starts the next run, so
+    each weight is bitwise that of a loop that rescales in place; products past it may
+    overflow and are overwritten. Each such rescale divides weights of about 1 or less by
+    over 1e100, so a weight is exactly 0 four rescales after its own: a rescale and the
+    normalising :func:`_exact_sum` start at the fifth-latest one. After ``grow`` one
+    accumulate runs to the end. The first ratio, the offered load births[0] / mu, is the
+    one that can overflow; it is rejected as the shared pool rejects it.
     """
     n = births.size
+    src, w = np.empty(n + 1), np.empty(n + 1)
+    src[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = births / (np.arange(1.0, n + 1) * service_rate)
-        if n and ratios[0] == math.inf:
+        np.divide(births, np.arange(1.0, n + 1) * service_rate, out=src[1:])
+        if n and src[1] == math.inf:
             raise ValueError("offered load must be finite and non-negative, got inf")
-        w = np.concatenate(([1.0], ratios))
-        for start in range(0, n, _ACCUMULATE_BLOCK):
-            i, stop = start, min(start + _ACCUMULATE_BLOCK, n) + 1
-            np.multiply.accumulate(w[i:stop], out=w[i:stop])
-            while (over := (w[i + 1 : stop] > _RESCALE_LIMIT).nonzero()[0]).size:
-                i += 1 + int(over[0])
-                w[: i + 1] *= 1.0 / w[i]
-                w[i + 1 : stop] = ratios[i : stop - 1]
-                np.multiply.accumulate(w[i:stop], out=w[i:stop])
-    return w / _exact_sum(w)
+        grow = int(np.count_nonzero(src[1:] >= 1.0))  # the weights rise up to state grow
+        points = [0] * 5  # the rescale states, latest last
+        i, run = 0, _ACCUMULATE_BLOCK
+        while i < grow:
+            stop = min(i + run, i + _ACCUMULATE_BLOCK, grow) + 1
+            over = np.multiply.accumulate(src[i:stop], out=w[i:stop]) > _RESCALE_LIMIT
+            k = int(over.argmax())
+            if over[k]:
+                i += k
+                w[points[-5] : i + 1] *= 1.0 / w[i]
+                run = (i - points[-1]) * 5 // 4
+                points.append(i)
+            else:
+                i, run = stop - 1, 2 * run
+            src[i] = w[i]
+        np.multiply.accumulate(src[i:], out=w[i:])
+    return np.divide(w, _exact_sum(w[points[-5] :]), out=w)
 
 
 def _chain_report(p: np.ndarray, limits: tuple[int, ...]) -> BlockingReport:
@@ -324,12 +336,21 @@ def blocking_report(
 
 def _erlang_b(channels: int, offered):
     """Stable forward recursion B(0) = 1, B(k) = a*B(k-1) / (k + a*B(k-1)) at ``offered``
-    erlangs, a float or a float array: each element takes the float loop's IEEE
-    operations, so it is bitwise the float that load alone gives."""
-    b = 1.0
-    for k in range(1, channels + 1):
-        ab = offered * b
-        b = ab / (k + ab)
+    erlangs, a number or a float array. The array loop runs in two buffers; each element takes
+    the number loop's IEEE operations, so it is bitwise the float that load alone gives."""
+    if not isinstance(offered, np.ndarray):
+        b = 1.0
+        for k in range(1, channels + 1):
+            ab = offered * b
+            b = ab / (k + ab)
+        return b
+    b, ab, k = np.ones_like(offered), np.empty_like(offered), 0.0
+    multiply, add, divide = np.multiply, np.add, np.divide  # looked up once, not at each step
+    for _ in range(channels):
+        k += 1.0
+        multiply(offered, b, ab)
+        add(ab, k, b)
+        divide(ab, b, b)
     return b
 
 

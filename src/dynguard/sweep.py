@@ -95,6 +95,18 @@ def _simulate(scenarios: list[Scenario]) -> list:
     return [r if isinstance(r, Exception) else (r.blocked, r.offered, r.utilization) for r in reports]
 
 
+def _worker_start(parent: int) -> None:
+    """Pool worker set-up: die with ``parent``, even when it is killed."""
+    import ctypes  # loaded with numpy
+    import signal
+
+    prctl = ctypes.CDLL(None).prctl
+    prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+    prctl(1, signal.SIGKILL)  # 1 is Linux's PR_SET_PDEATHSIG; should it fail, the sweep still runs
+    if os.getppid() != parent:  # the parent died before that took hold
+        os._exit(1)
+
+
 def _simulated(tasks: list[list[Scenario]]):
     """Yield :func:`_simulate` of every task, in order.
 
@@ -113,7 +125,9 @@ def _simulated(tasks: list[list[Scenario]]):
 
     # Forked workers inherit the imported package, where spawned ones would
     # import numpy again each, and fork leaves no helper process behind.
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_worker_start, initargs=(os.getpid(),)
+    )
     try:
         yield from pool.map(_simulate, tasks)
     finally:
@@ -155,11 +169,13 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
             )
         )
 
-    # The shared pool's points are solved in one recursion. Should that fail,
-    # the walk below solves them one by one and so names the first failing point.
+    # Each point's limits, then the shared pool's points in one recursion. Should either
+    # fail, the walk below does the rest point by point and so names the first failing one.
+    limits: list[tuple[int, ...] | None] = []
     reports: dict[tuple, BlockingReport] = {}  # by (limits, rates)
     with suppress(Exception):
-        pool = list(dict.fromkeys(r for s, _, r in points if _limits(config, s, r) is None))
+        limits.extend(_limits(config, s, r) for s, _, r in points)
+        pool = list(dict.fromkeys(r for (*_, r), lim in zip(points, limits) if lim is None))
         reports.update(zip(((None, r) for r in pool), _pool_reports(config.params, pool)))
 
     queued = iter(tasks.items())
@@ -167,10 +183,10 @@ def run_sweep(config: SweepConfig) -> list[ResultRow]:
     done: dict[tuple[float, int], dict] = {}  # each finished task's runs, by scheme
     rows: list[ResultRow] = []
     try:
-        for scheme, lam_total, rates in points:
+        for k, (scheme, lam_total, rates) in enumerate(points):
             try:
                 mode = classify_load(rates, config.params).value
-                key = (_limits(config, scheme, rates), rates)
+                key = (limits[k] if k < len(limits) else _limits(config, scheme, rates), rates)
                 if key not in reports:
                     reports[key] = _point_report(config.params, *key)
                 report = reports[key]

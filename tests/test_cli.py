@@ -1,9 +1,20 @@
 """CLI surface: subcommands, overrides, exit codes."""
 
+import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import dynguard
 from dynguard import cli
 from dynguard.cli import main
+
+REGRESSION = Path(__file__).resolve().parents[1] / "configs" / "regression.conf"
 
 CONF = """
 capacity = 6
@@ -120,3 +131,49 @@ def test_missing_out_directory_exits_one_before_the_sweep(tmp_path, monkeypatch,
     source = "--out" if from_flag else "the config's 'out'"
     assert f"{source} {out}: directory {missing} does not exist" in capsys.readouterr().err
     assert not missing.exists()
+
+
+def _children(pid):
+    found = set()
+    for task in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            found.update(int(c) for c in task.read_text().split())
+        except OSError:  # the task ended
+            pass
+    return found
+
+
+def _alive(pid):
+    """Whether ``pid`` runs: a zombie waiting for its reaper counts as gone."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and the pool's fork workers")
+@pytest.mark.parametrize("sig, status", [(signal.SIGTERM, 143), (signal.SIGKILL, -signal.SIGKILL)], ids=["TERM", "KILL"])
+def test_a_stopped_simulating_sweep_leaves_no_worker_running(tmp_path, sig, status):
+    # SIGTERM exits through the pool's shutdown; SIGKILL skips it, and the
+    # workers die with their parent. On one CPU there is no pool to check.
+    conf = tmp_path / "long.conf"
+    conf.write_text(re.sub(r"(?m)^sim\.arrivals\s*=.*$", "sim.arrivals = 400000", REGRESSION.read_text()))
+    src = str(Path(dynguard.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    argv = [sys.executable, "-m", "dynguard.cli", "simulate", "--config", str(conf), "--out", str(tmp_path / "o.csv")]
+    pool = len(os.sched_getaffinity(0)) >= 2
+    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        try:
+            children, deadline = set(), time.monotonic() + 60
+            while pool and len(children) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                children = _children(proc.pid)
+            if not pool:
+                time.sleep(1.0)
+            assert proc.poll() is None and len(children) >= 2 * pool
+            proc.send_signal(sig)
+            assert proc.wait(timeout=60) == status
+        finally:
+            proc.kill()
+    time.sleep(1.0)
+    assert not [c for c in children if _alive(c)]

@@ -270,6 +270,59 @@ class TestAccumulateBlocks:
         self.check((2 * markov._ACCUMULATE_BLOCK, markov._ACCUMULATE_BLOCK), rates)
 
 
+class TestRunByRun:
+    """The ratio recursion accumulates from one rescale to the next only while
+    the ratios are >= 1, then once to the end; every weight must stay that of
+    the per-state loop."""
+
+    check = staticmethod(TestAccumulateBlocks.check)
+
+    @staticmethod
+    def rescaling_at(state, rescales=1):
+        """Rates (0.5, x) whose births x + 0.5 below ``state`` rescale there, the
+        last of at least ``rescales``; from ``state`` on the births are 0.5, so
+        the ratios fall below 1."""
+        for x in np.geomspace(1e3, 1e12, 4000).tolist():
+            states = rescale_states((x + 0.5,) * state, 1.0)
+            if state in states and len(states) >= rescales:
+                return (0.5, x)
+
+    @pytest.mark.parametrize("block", [16, markov._ACCUMULATE_BLOCK])
+    def test_rescale_at_the_last_growth_state(self, monkeypatch, block):
+        monkeypatch.setattr(markov, "_ACCUMULATE_BLOCK", block)
+        births = self.check((260, 200), self.rescaling_at(200))
+        assert rescale_states(births, 1.0)[-1] == 200
+
+    def test_ratio_of_exactly_one_ends_the_growth(self):
+        # lambda = k * mu at k = 1000: that weight repeats the one before it.
+        births = self.check((1500,), (1000.0,))
+        assert births[999] / 1000 == 1.0 and len(rescale_states(births, 1.0)) >= 2
+
+    @pytest.mark.parametrize("block", [16, markov._ACCUMULATE_BLOCK])
+    def test_run_between_rescales_longer_than_a_block(self, monkeypatch, block):
+        monkeypatch.setattr(markov, "_ACCUMULATE_BLOCK", block)
+        births = self.check((6000,), (5000.0,))
+        assert max(np.diff(rescale_states(births, 1.0))) > markov._ACCUMULATE_BLOCK
+
+    @pytest.mark.parametrize("limits, rates", [((6000,), (5000.0,)), ((460, 400), None)], ids=["long", "ends-at-rescale"])
+    def test_weights_ahead_of_the_fifth_latest_rescale_are_zero(self, limits, rates):
+        # A rescale scales, and the normalising sum adds, only from the
+        # fifth-latest earlier rescale on. In the per-state loop every weight
+        # up to it is already exactly 0, at each rescale and at the end. When
+        # the growth ends at a rescale the total is small, so a weight left
+        # out of a rescale would still show in the distribution.
+        births = self.check(limits, rates or self.rescaling_at(limits[1], rescales=6))
+        w, states = [1.0], []
+        for i, b in enumerate(births, 1):
+            w.append(w[-1] * (b / i))
+            if w[-1] > 1e100:
+                assert len(states) < 5 or not any(w[: states[-5] + 1])
+                states.append(i)
+                scale = 1.0 / w[-1]
+                w = [x * scale for x in w]
+        assert len(states) >= 6 and not any(w[: states[-5] + 1])
+
+
 class TestBlockingReport:
     def test_benchmark_values(self):
         dist = steady_state(build_chain(BENCH_TV, BENCH_RATES, 1.0))
