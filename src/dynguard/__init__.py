@@ -20,6 +20,7 @@ from .markov import (
     steady_state_oracle,
 )
 from .simulate import (
+    ArrivalTrace,
     Scenario,
     Scheme,
     SegmentStats,
@@ -44,6 +45,7 @@ from .traffic import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "ArrivalTrace",
     "BirthDeathChain",
     "BlockingReport",
     "ConfigError",

@@ -9,7 +9,7 @@ Three subcommands share one config format (see :mod:`dynguard.config`):
 ``--out`` overrides the config's output path; ``--seed`` replaces the
 config's seed list with a single seed. Exit codes: 0 success, 1 config or
 validation error (a missing output directory among them), 2 runtime failure,
-143 stopped by SIGTERM.
+130 stopped by Ctrl-C (SIGINT), 143 stopped by SIGTERM.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # Imported here, so importing the package does not pay for it. While the CLI
-    # runs, SIGTERM exits through every finally, so a sweep shuts its pool down.
+    # runs, SIGTERM and Ctrl-C exit through every finally, so a sweep ends its pool.
     import signal
     import threading
 
@@ -53,6 +53,9 @@ def main(argv=None) -> int:
     previous = signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     try:
         return _main(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT
     finally:
         signal.signal(signal.SIGTERM, previous)
 

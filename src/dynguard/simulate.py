@@ -34,11 +34,14 @@ window then goes through three stages:
 
 Scenarios that differ only in their scheme take the same windows of one
 walk in :func:`_run_schemes`; :func:`run_simulation` is that runner with one.
+A traced run keeps each window's arrivals as arrays, joined once into the
+report's :class:`ArrivalTrace`.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -92,8 +95,10 @@ class Scenario:
     warmup: leading time span excluded from statistics; defaults to
         ``_WARMUP_SHARE`` of the horizon.
     fixed_thresholds: availability limits for the FIXED_GUARD scheme.
-    record_trace: when set, the report carries every arrival as
-        (time, class, admitted) for exact run-to-run comparisons.
+    record_trace: when set, the report carries every arrival, warmup
+        included, as an :class:`ArrivalTrace` of (time, class, admitted)
+        for exact run-to-run comparisons. It costs about 10 bytes per
+        arrival.
     """
 
     params: SystemParams
@@ -173,6 +178,60 @@ class SegmentStats:
         return blocking_stderr(self.blocked[idx], self.offered[idx])
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class ArrivalTrace:
+    """Every arrival of a run in event order, as three read-only arrays.
+
+    ``times`` (float64), ``classes`` (1-based, in the smallest integer type
+    that holds M) and ``admitted`` (bool), one entry per arrival. The trace
+    reads as the tuple of ``(time, class, admitted)`` tuples of Python
+    scalars it stands for: ``len``, iteration, int indexing and ``repr``
+    give what that tuple gives, and a slice is a trace. Traces are equal
+    when their arrivals are, and hashable. A trace marks the arrays it is
+    given read-only.
+    """
+
+    times: np.ndarray
+    classes: np.ndarray
+    admitted: np.ndarray
+
+    def __post_init__(self) -> None:
+        if not self.times.ndim == self.classes.ndim == self.admitted.ndim == 1:
+            raise ValueError("a trace's times, classes and admitted must be 1-D arrays")
+        if not len(self.times) == len(self.classes) == len(self.admitted):
+            raise ValueError("a trace's times, classes and admitted must have one entry per arrival")
+        for column in (self.times, self.classes, self.admitted):
+            column.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        return zip(self.times.tolist(), self.classes.tolist(), self.admitted.tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ArrivalTrace(self.times[key], self.classes[key], self.admitted[key])
+        i = operator.index(key)
+        return self.times[i].item(), self.classes[i].item(), self.admitted[i].item()
+
+    def __eq__(self, other):
+        if not isinstance(other, ArrivalTrace):
+            return NotImplemented
+        return (
+            np.array_equal(self.times, other.times)
+            and np.array_equal(self.classes, other.classes)
+            and np.array_equal(self.admitted, other.admitted)
+        )
+
+    def __hash__(self) -> int:
+        # Adding 0.0 turns -0.0, which equals 0.0, into 0.0.
+        return hash((self.times + 0.0).tobytes())
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class SimReport:
     """Aggregate statistics of one run (post-warmup unless noted).
@@ -181,7 +240,8 @@ class SimReport:
     ``light_time_fraction`` / ``high_time_fraction`` split the measured time
     by which admission regime was in effect. ``event_count`` covers every
     processed event including warmup. ``trace`` is present only when the
-    scenario asked for it and lists all arrivals, warmup included.
+    scenario asked for it: an :class:`ArrivalTrace` of all arrivals, warmup
+    included.
     """
 
     offered: tuple[int, ...]
@@ -193,7 +253,7 @@ class SimReport:
     high_time_fraction: float
     event_count: int
     segments: tuple[SegmentStats, ...]
-    trace: tuple[tuple[float, int, bool], ...] | None = None
+    trace: ArrivalTrace | None = None
 
 
 def _arrival_windows(rngs, class_gaps, seg_ends, horizon: float):
@@ -442,7 +502,9 @@ class _Tally:
         self.prev_t = 0.0
         self.occupied = 0
         self.events = 0  # window entries and departures, the end marker included
+        # Each window's (times, classes, admitted) arrays, classes 1-based.
         self.trace = [] if scenario.record_trace else None
+        self.class_type = np.min_scalar_type(self.m_count)
 
     def count_keys(self, times, classes):
         """A window's measured arrivals (post-warmup, not the end marker) and
@@ -456,14 +518,14 @@ class _Tally:
         seg = np.searchsorted(self.ends, times[measured], side="right")
         return measured, (seg * self.m_count + classes[measured]) * 2
 
-    def add(self, times, classes, tlist, admitted, departures, high, keyed=None):
+    def add(self, times, classes, admitted, departures, high, keyed=None):
         """Account for one window and return its :meth:`count_keys`.
 
-        ``times``/``classes`` are the window's arrivals and ``tlist`` the
-        times as a list, ``admitted`` their decisions, ``departures`` the
-        departure times processed during the window, in order, and ``high``
-        the modes from the admission policy. ``keyed`` is the window's
-        :meth:`count_keys` when another tally has made it.
+        ``times``/``classes`` are the window's arrivals, ``admitted`` their
+        decisions, ``departures`` the departure times processed during the
+        window, in order, and ``high`` the modes from the admission policy.
+        ``keyed`` is the window's :meth:`count_keys` when another tally has
+        made it.
         """
         d = len(departures)
         joined = np.concatenate((departures, times))
@@ -513,7 +575,7 @@ class _Tally:
 
         self.events += len(joined)
         if self.trace is not None:
-            self.trace.extend(zip(tlist, (classes + 1).tolist(), admitted.tolist()))
+            self.trace.append((times, (classes + 1).astype(self.class_type), admitted))
         return keyed
 
     def _split_at_segment_ends(self, t, lo, occ, busy):
@@ -560,9 +622,10 @@ class _Tally:
             )
         offered = tuple(self.offered.sum(axis=0).tolist())
         blocked = tuple(self.blocked.sum(axis=0).tolist())
-        trace = self.trace
-        if trace is not None:
-            trace.pop()  # the end-of-run marker
+        trace = None
+        if self.trace is not None:
+            # One join per column; its last entry is the end-of-run marker.
+            trace = ArrivalTrace(*(np.concatenate(column)[:-1] for column in zip(*self.trace)))
         return SimReport(
             offered=offered,
             blocked=blocked,
@@ -573,7 +636,7 @@ class _Tally:
             high_time_fraction=self.high_time / measured_time,
             event_count=self.events - 1,
             segments=tuple(seg_stats),
-            trace=tuple(trace) if trace is not None else None,
+            trace=trace,
         )
 
 
@@ -626,7 +689,7 @@ class _Lane:
                 decisions.append(0)
         self.holds, self.used = holds, used
         return self.tally.add(
-            times, classes, tlist, np.frombuffer(decisions, dtype=bool),
+            times, classes, np.frombuffer(decisions, dtype=bool),
             np.fromiter(departures, float, len(departures)), high, keyed,
         )
 

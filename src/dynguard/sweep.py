@@ -96,10 +96,13 @@ def _simulate(scenarios: list[Scenario]) -> list:
 
 
 def _worker_start(parent: int) -> None:
-    """Pool worker set-up: die with ``parent``, even when it is killed."""
+    """Pool worker set-up: die with ``parent``, even when it is killed, and
+    leave Ctrl-C, which reaches the whole process group, to it."""
     import ctypes  # loaded with numpy
     import signal
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT, signal.SIGTERM})  # held by _simulated
     prctl = ctypes.CDLL(None).prctl
     prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
     prctl(1, signal.SIGKILL)  # 1 is Linux's PR_SET_PDEATHSIG; should it fail, the sweep still runs
@@ -112,8 +115,9 @@ def _simulated(tasks: list[list[Scenario]]):
 
     On Linux the tasks go to one forked worker per CPU in the affinity
     mask, up to one per task; with a single worker, or elsewhere, they run
-    in this process. A task that cannot finish raises when its turn comes,
-    and the tasks still queued are cancelled when the generator closes.
+    in this process. A task that cannot finish raises when its turn comes.
+    Should the generator stop early, by an error, a signal or a close, the
+    workers are killed rather than left to finish the tasks they hold.
     """
     workers = min(len(os.sched_getaffinity(0)), len(tasks)) if sys.platform == "linux" else 1
     if workers < 2:
@@ -121,6 +125,7 @@ def _simulated(tasks: list[list[Scenario]]):
         return
     # Imported here: an analytic sweep never pays for them.
     import multiprocessing
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
     # Forked workers inherit the imported package, where spawned ones would
@@ -129,7 +134,22 @@ def _simulated(tasks: list[list[Scenario]]):
         workers, mp_context=multiprocessing.get_context("fork"), initializer=_worker_start, initargs=(os.getpid(),)
     )
     try:
-        yield from pool.map(_simulate, tasks)
+        # Handing out the tasks forks the workers. Ctrl-C and SIGTERM wait
+        # until it is done: a stop in the middle could leave a worker that
+        # the pool does not know, and so neither kills nor waits for, but
+        # the interpreter joins at exit. The workers start with both
+        # blocked, so none takes Ctrl-C before _worker_start ignores it.
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
+        try:
+            results = pool.map(_simulate, tasks)
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield from results
+    except BaseException:
+        # The executor's {pid: process} map; Python 3.14 adds kill_workers() for this.
+        for worker in list(pool._processes.values()):
+            worker.kill()
+        raise
     finally:
         pool.shutdown(cancel_futures=True)
 

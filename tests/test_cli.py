@@ -152,17 +152,29 @@ def _alive(pid):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc and the pool's fork workers")
-@pytest.mark.parametrize("sig, status", [(signal.SIGTERM, 143), (signal.SIGKILL, -signal.SIGKILL)], ids=["TERM", "KILL"])
-def test_a_stopped_simulating_sweep_leaves_no_worker_running(tmp_path, sig, status):
-    # SIGTERM exits through the pool's shutdown; SIGKILL skips it, and the
-    # workers die with their parent. On one CPU there is no pool to check.
+@pytest.mark.parametrize(
+    "sig, status, group, stderr",
+    [
+        (signal.SIGTERM, 143, False, []),
+        (signal.SIGKILL, -signal.SIGKILL, False, []),
+        (signal.SIGINT, 130, True, ["error: interrupted"]),
+    ],
+    ids=["TERM", "KILL", "INT"],
+)
+def test_a_stopped_simulating_sweep_leaves_no_worker_running(tmp_path, sig, status, group, stderr):
+    # SIGTERM and Ctrl-C (SIGINT to the process group, workers included) end
+    # the pool's workers without waiting for their tasks; SIGKILL skips that,
+    # and the workers die with their parent. On one CPU there is no pool to check.
     conf = tmp_path / "long.conf"
     conf.write_text(re.sub(r"(?m)^sim\.arrivals\s*=.*$", "sim.arrivals = 400000", REGRESSION.read_text()))
     src = str(Path(dynguard.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     argv = [sys.executable, "-m", "dynguard.cli", "simulate", "--config", str(conf), "--out", str(tmp_path / "o.csv")]
     pool = len(os.sched_getaffinity(0)) >= 2
-    with subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+    err = tmp_path / "stderr.txt"
+    with err.open("w") as err_file, subprocess.Popen(
+        argv, env=env, stdout=subprocess.DEVNULL, stderr=err_file, start_new_session=True
+    ) as proc:
         try:
             children, deadline = set(), time.monotonic() + 60
             while pool and len(children) < 2 and proc.poll() is None and time.monotonic() < deadline:
@@ -171,9 +183,16 @@ def test_a_stopped_simulating_sweep_leaves_no_worker_running(tmp_path, sig, stat
             if not pool:
                 time.sleep(1.0)
             assert proc.poll() is None and len(children) >= 2 * pool
-            proc.send_signal(sig)
-            assert proc.wait(timeout=60) == status
+            sent = time.monotonic()
+            if group:
+                os.killpg(proc.pid, sig)
+            else:
+                proc.send_signal(sig)
+            got = proc.wait(timeout=60)
+            # Quick: the tasks the workers hold, about a second each here, are not waited for.
+            took = time.monotonic() - sent
         finally:
             proc.kill()
     time.sleep(1.0)
-    assert not [c for c in children if _alive(c)]
+    alive = [c for c in children if _alive(c)]
+    assert (got, took < 2.0, alive, err.read_text().splitlines()) == (status, True, [], stderr), took

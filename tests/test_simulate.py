@@ -2,12 +2,14 @@
 
 import hashlib
 import math
-from dataclasses import fields, replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from dynguard import (
+    ArrivalTrace,
     LoadCondition,
     RateEstimator,
     Scenario,
@@ -22,6 +24,7 @@ from dynguard import (
     run_simulation,
 )
 from dynguard.simulate import _DRAW_BLOCK, _WINDOW_ARRIVALS, _arrival_windows, _run_schemes
+from test_simulate_reference import reference_run
 from walks import per_draw_walk
 
 PARAMS_SMALL = SystemParams(4, 0, class_count=3)
@@ -444,6 +447,117 @@ class TestArrivalStreams:
             reference_rng = np.random.default_rng(seed)
             per_draw_walk(reference_rng, gaps, seg_ends)
             assert rng.standard_exponential() == reference_rng.standard_exponential()
+
+
+class TestArrivalTrace:
+    """A report's trace: three read-only arrays that read as the tuple of arrivals."""
+
+    # 30 alternating segments at N=40: several windows, segment ends and blocking.
+    SCENARIO = Scenario(
+        params=SystemParams(40, 20),
+        schedule=tuple((k * 10.0, (8.0, 6.0, 6.0) if k % 2 else (24.0, 18.0, 18.0)) for k in range(30)),
+        horizon=300.0, seed=3, record_trace=True,
+    )
+
+    def test_reads_as_the_reference_tuple(self):
+        trace = run_simulation(self.SCENARIO).trace
+        expected = reference_run(self.SCENARIO).trace  # a tuple of (float, int, bool)
+        assert isinstance(trace, ArrivalTrace)
+        assert tuple(trace) == expected
+        assert repr(trace) == repr(expected)
+        assert len(trace) == len(expected) > 2 * _WINDOW_ARRIVALS
+        assert not all(admitted for _, _, admitted in trace)
+        for k in (0, 1, 4321, -1, -len(expected)):
+            assert trace[k] == expected[k]
+            assert [type(x) for x in trace[k]] == [float, int, bool]
+        assert [type(x) for x in next(iter(trace))] == [float, int, bool]
+        for key in (slice(10, 20), slice(None, None, -7), slice(-5, None), slice(3, 3)):
+            part = trace[key]
+            assert isinstance(part, ArrivalTrace)
+            assert tuple(part) == expected[key]
+            assert repr(part) == repr(expected[key])
+        with pytest.raises(IndexError):
+            trace[len(expected)]
+        with pytest.raises(TypeError):
+            trace[1.0]
+
+    def test_arrays(self):
+        trace = run_simulation(self.SCENARIO).trace
+        assert trace.times.dtype == np.float64
+        assert trace.classes.dtype == np.uint8  # M = 3
+        assert trace.admitted.dtype == bool
+        assert trace.classes.min() == 1 and trace.classes.max() == 3
+        assert np.all(np.diff(trace.times) >= 0.0)
+        assert trace.times[-1] < self.SCENARIO.horizon  # no end-of-run marker
+        many = SystemParams(300, 0, class_count=300)
+        wide = run_simulation(
+            Scenario(params=many, schedule=((0.0, (1.0,) * 300),), horizon=2.0, seed=1, record_trace=True)
+        ).trace
+        assert wide.classes.dtype == np.uint16 and wide.classes.max() == 300
+
+    def test_equality_hash_and_read_only(self):
+        report = run_simulation(self.SCENARIO)
+        again = run_simulation(self.SCENARIO)
+        other = run_simulation(replace(self.SCENARIO, seed=4)).trace
+        trace = report.trace
+        assert trace == again.trace and trace is not again.trace
+        assert hash(trace) == hash(again.trace)
+        assert hash(report) == hash(again) and report == again  # SimReport stays hashable
+        assert trace != other and trace[:100] != trace[1:101]
+        assert trace[:100] == again.trace[:100] and hash(trace[:100]) == hash(again.trace[:100])
+        assert trace != tuple(trace)  # equal only to another trace
+        for part in (trace, trace[5:50]):
+            for column in (part.times, part.classes, part.admitted):
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[1]
+        with pytest.raises(FrozenInstanceError):
+            trace.times = trace.times.copy()
+
+    def test_empty(self):
+        silent = replace(self.SCENARIO, schedule=((0.0, (0.0, 0.0, 0.0)),))
+        trace = run_simulation(silent).trace
+        assert len(trace) == 0 and not trace
+        assert repr(trace) == "()" and tuple(trace) == ()
+        assert trace == trace[:0]
+
+    def test_columns_must_match(self):
+        with pytest.raises(ValueError, match="one entry per arrival"):
+            ArrivalTrace(np.zeros(3), np.ones(2, dtype=np.uint8), np.ones(3, dtype=bool))
+        with pytest.raises(ValueError, match="1-D"):
+            ArrivalTrace(np.zeros((1, 3)), np.ones(3, dtype=np.uint8), np.ones(3, dtype=bool))
+
+    def test_footprint_is_the_arrays_and_one_join(self):
+        """A trace costs its columns, and at most one more copy of them at the peak.
+
+        A traced run keeps each window's times (8 bytes per arrival), classes
+        (1 byte for M = 3) and decisions (1 byte, plus the slack of the buffer
+        they are read from; 2 bytes allowed), then joins each column once.
+        So against the untraced run, tracemalloc's count of what the report
+        holds grows by at most 8 + 1 + 2 bytes per arrival, and its peak by
+        at most twice that.
+        """
+        scenario = replace(
+            self.SCENARIO,
+            schedule=tuple((k * 25.0, (8.0, 6.0, 6.0) if k % 2 else (24.0, 18.0, 18.0)) for k in range(40)),
+            horizon=1000.0,
+        )
+
+        def measure(s):
+            tracemalloc.start()
+            try:
+                report = run_simulation(s)
+                held, peak = tracemalloc.get_traced_memory()
+                return held, peak, report
+            finally:
+                tracemalloc.stop()
+
+        run_simulation(scenario)  # one-time allocations outside the measured runs
+        held_untraced, peak_untraced, _ = measure(replace(scenario, record_trace=False))
+        held, peak, report = measure(scenario)
+        arrivals = len(report.trace)
+        assert arrivals > 8 * _WINDOW_ARRIVALS
+        assert (held - held_untraced) / arrivals <= 8 + 1 + 2
+        assert (peak - peak_untraced) / arrivals <= 2 * (8 + 1 + 2)
 
 
 class TestPinnedStreams:
