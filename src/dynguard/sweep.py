@@ -3,17 +3,18 @@
 For every (scheme, grid point) pair the sweep computes the analytic
 blocking report and, when enabled, pooled simulation estimates across the
 seed list. The simulation goes out as one task per (grid point, seed),
-which runs every scheme on the same arrivals; the tasks share out over
-every usable CPU while each point, in sweep order, takes its report and
-then pools its runs. Rows come out in (scheme, total rate, class) order
-with class 0 the pooled class over all of 1..M, so repeated runs of the
-same config are byte-identical, on any number of CPUs.
+which runs every scheme on the same arrivals; forked workers, one per
+usable CPU, take them over pipes while each point, in sweep order, takes
+its report and then pools its runs. Rows come out in (scheme, total rate,
+class) order with class 0 the pooled class over all of 1..M, so repeated
+runs of the same config are byte-identical on any number of CPUs.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
 import sys
 from contextlib import suppress
 from dataclasses import dataclass, fields
@@ -78,7 +79,7 @@ def _limits(config: SweepConfig, scheme: Scheme, rates: tuple[float, ...]) -> tu
 def _simulate(scenarios: list[Scenario]) -> list:
     """The runs of one (grid point, seed), one per scheme: each run's
     per-class blocked and offered counts and its utilization, or the
-    exception it raised. All that a pool worker sends back.
+    exception it raised. All that a worker sends back.
 
     The schemes share one arrival walk. Should that shared run fail, each
     scheme runs again alone, so an error goes to the scheme that raised it.
@@ -96,7 +97,7 @@ def _simulate(scenarios: list[Scenario]) -> list:
 
 
 def _worker_start(parent: int) -> None:
-    """Pool worker set-up: die with ``parent``, even when it is killed, and
+    """Worker set-up: die with ``parent``, even when it is killed, and
     leave Ctrl-C, which reaches the whole process group, to it."""
     import ctypes  # loaded with numpy
     import signal
@@ -110,48 +111,87 @@ def _worker_start(parent: int) -> None:
         os._exit(1)
 
 
+def _work(tasks: list[list[Scenario]], parent: int, inbox: int, task_fd: int, outbox: int) -> None:
+    """A forked worker: for each task index on ``inbox``, until the parent closes
+    ``task_fd``, send ``outbox`` the length-prefixed pickle of its result or error."""
+    try:
+        _worker_start(parent)
+        os.close(task_fd)  # so the inbox ends when the parent's end closes, even if it never kept this pid
+        indices, out = open(inbox, "rb"), open(outbox, "wb")
+        while len(index := indices.read(4)) == 4:
+            try:
+                data = pickle.dumps(_simulate(tasks[int.from_bytes(index, "little")]))
+            except Exception as exc:
+                data = pickle.dumps(exc)
+            out.write(len(data).to_bytes(4, "little") + data)
+            out.flush()
+    finally:
+        os._exit(0)  # never back into the parent's code, nor its exit handlers
+
+
 def _simulated(tasks: list[list[Scenario]]):
     """Yield :func:`_simulate` of every task, in order.
 
-    On Linux the tasks go to one forked worker per CPU in the affinity
-    mask, up to one per task; with a single worker, or elsewhere, they run
-    in this process. A task that cannot finish raises when its turn comes.
-    Should the generator stop early, by an error, a signal or a close, the
-    workers are killed rather than left to finish the tasks they hold.
+    On Linux the tasks go to one forked worker per CPU in the affinity mask,
+    up to one per task; with one worker, or elsewhere, they run in this
+    process. A worker inherits the tasks, takes each index over one pipe and
+    sends back the pickled result over another. A task that cannot finish,
+    as when its worker dies, raises in its turn. However it stops, the
+    generator kills and reaps its workers and closes its pipes.
     """
     workers = min(len(os.sched_getaffinity(0)), len(tasks)) if sys.platform == "linux" else 1
     if workers < 2:
         yield from map(_simulate, tasks)
         return
     # Imported here: an analytic sweep never pays for them.
-    import multiprocessing
+    import select
     import signal
-    from concurrent.futures import ProcessPoolExecutor
 
-    # Forked workers inherit the imported package, where spawned ones would
-    # import numpy again each, and fork leaves no helper process behind.
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_worker_start, initargs=(os.getpid(),)
-    )
+    parent, queued, poller = os.getpid(), iter(range(len(tasks))), select.poll()
+    pids, fds = [], []  # the workers, and every pipe end this process holds
+    idle: list = []  # (result pipe, task pipe) of each worker without a task
+    running: dict = {}  # a busy worker's result fd: its result pipe, task pipe and task
+    results: dict[int, bytes] = {}  # pickled, by task, until its turn
     try:
-        # Handing out the tasks forks the workers. Ctrl-C and SIGTERM wait
-        # until it is done: a stop in the middle could leave a worker that
-        # the pool does not know, and so neither kills nor waits for, but
-        # the interpreter joins at exit. The workers start with both
-        # blocked, so none takes Ctrl-C before _worker_start ignores it.
+        # SIGINT and SIGTERM wait out the forks: no worker takes one before _worker_start, in _work's try.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
-            results = pool.map(_simulate, tasks)
+            for _ in range(workers):
+                (inbox, task_fd), (result_fd, outbox) = os.pipe(), os.pipe()
+                fds += inbox, task_fd, result_fd, outbox
+                if (pid := os.fork()) == 0:
+                    _work(tasks, parent, inbox, task_fd, outbox)
+                pids.append(pid)
+                os.close(fds.pop())  # the worker's end: the result pipe closes when the worker dies
+                idle.append((open(result_fd, "rb", closefd=False), task_fd))
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        yield from results
-    except BaseException:
-        # The executor's {pid: process} map; Python 3.14 adds kill_workers() for this.
-        for worker in list(pool._processes.values()):
-            worker.kill()
-        raise
+        for i in range(len(tasks)):
+            while i not in results:
+                for (result_pipe, task_fd), k in zip(idle, queued):
+                    running[result_pipe.fileno()] = result_pipe, task_fd, k
+                    poller.register(result_pipe, select.POLLIN)
+                    os.write(task_fd, k.to_bytes(4, "little"))  # no EPIPE: this process holds the read end
+                idle.clear()
+                for fd, _ in poller.poll():  # unlike select(), any fd number
+                    poller.unregister(fd)
+                    result_pipe, task_fd, k = running.pop(fd)
+                    size = int.from_bytes(result_pipe.read(4), "little")
+                    if len(data := result_pipe.read(size)) == size > 0:
+                        results[k] = data
+                        idle.append((result_pipe, task_fd))
+                    else:  # the pipe closed before the whole result came
+                        results[k] = pickle.dumps(ChildProcessError("the worker simulating it died"))
+            result = pickle.loads(results.pop(i))
+            if isinstance(result, Exception):
+                raise result
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _point_error(scheme: Scheme, lam_total: float, exc: Exception) -> SweepError:

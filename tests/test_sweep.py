@@ -2,9 +2,11 @@
 
 import hashlib
 import math
-import multiprocessing
 import os
+import signal
 import sys
+import time
+from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from dynguard import (
 )
 from dynguard import markov, simulate, sweep
 from dynguard.cli import main
+from test_cli import _children  # this process's children, alive or not yet reaped
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -344,12 +347,21 @@ def faulty_task(fails, pid_log, scenarios):
     ]
 
 
+def broken_task(dies, scenarios):
+    """The real task, except the first seed's at total rate 6: it ends its
+    process, as a worker killed mid-task would, or returns what cannot be pickled."""
+    if scenarios[0].seed == 1 and scenarios[0].horizon == POOLED_CFG.horizon(6.0):
+        if dies:
+            os._exit(1)
+        return [lambda: None]
+    return REAL_TASK(scenarios)
+
+
 def patch_runs(monkeypatch, fail_at=None, pid_log=None, fails=()):
     """Make every run at total rate ``fail_at``, and the run of each (scheme,
     total rate) in ``fails``, fail, and log each task's process id.
 
-    The sweep sends its task function to the workers by name, so the patch
-    is a partial of a module-level function, which pickles.
+    The workers are forked after the patch, so they run the patched task.
     """
     failing = {(scheme, POOLED_CFG.horizon(lam)) for scheme, lam in fails}
     if fail_at is not None:
@@ -368,7 +380,7 @@ class TestWorkerPool:
             out = tmp_path / f"cpus{cpus}.csv"
             emit_csv(run_sweep(POOLED_CFG), out)
             data[cpus] = out.read_bytes()
-            assert multiprocessing.active_children() == []
+            assert _children(os.getpid()) == set()
             ran_in = set(pids.read_text().split())
             if cpus == 1:
                 assert ran_in == {str(os.getpid())}
@@ -384,7 +396,50 @@ class TestWorkerPool:
         patch_runs(monkeypatch, fail_at=12.0)
         with pytest.raises(SweepError, match=r"^scheme=dynamic lambda_total=12: boom$"):
             run_sweep(POOLED_CFG)
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == set()
+
+    @pytest.mark.parametrize("dies", [True, False], ids=["worker dies", "result unpicklable"])
+    def test_a_task_that_cannot_send_its_result_fails_its_point(self, monkeypatch, dies):
+        # The first task in sweep order breaks; the other worker may still
+        # hold a task, which is not waited for.
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sweep, "_simulate", partial(broken_task, dies))
+
+        def stop_waiting(signum, frame):  # ends a wait that would hang; the time bound below then fails
+            raise TimeoutError("still waiting")
+
+        previous = signal.signal(signal.SIGALRM, stop_waiting)
+        started = time.monotonic()
+        signal.alarm(10)
+        try:
+            with pytest.raises(SweepError, match=r"^scheme=dynamic lambda_total=6: "):
+                run_sweep(POOLED_CFG)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (time.monotonic() - started < 5.0, _children(os.getpid())) == (True, set())
+
+    @pytest.mark.parametrize(
+        "fail_at, held", [(None, 0), (12.0, 0), (None, 1030)], ids=["succeeds", "fails", "past fd 1024"]
+    )
+    def test_a_pooled_sweep_leaves_the_open_files_as_it_found_them(self, monkeypatch, fail_at, held):
+        # With ``held`` more files open, the workers' pipes get numbers past
+        # FD_SETSIZE (1024), which select() cannot wait on.
+        import resource  # not on every platform; this class runs on Linux only
+
+        if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < held + 100:
+            pytest.skip("this process may not open that many files")
+        use_cpus(monkeypatch, 2)
+        patch_runs(monkeypatch, fail_at=fail_at)
+        opened = [os.open(os.devnull, os.O_RDONLY) for _ in range(held)]
+        try:
+            before = sorted(os.listdir("/proc/self/fd"))
+            with pytest.raises(SweepError) if fail_at else nullcontext():
+                run_sweep(POOLED_CFG)
+            assert sorted(os.listdir("/proc/self/fd")) == before
+        finally:
+            for fd in opened:
+                os.close(fd)
 
     def test_an_earlier_point_of_a_later_task_wins(self, monkeypatch):
         # The task at 6 returns first, with only the fixed run failed; the
@@ -393,7 +448,7 @@ class TestWorkerPool:
         patch_runs(monkeypatch, fails=[(Scheme.FIXED_GUARD, 6.0), (Scheme.DYNAMIC, 12.0)])
         with pytest.raises(SweepError, match=r"^scheme=dynamic lambda_total=12: boom$"):
             run_sweep(POOLED_CFG)
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == set()
 
     def test_a_failure_goes_to_its_scheme_not_its_task(self, monkeypatch):
         # Only the fixed scheme's run at 6 raises; the dynamic and
@@ -409,7 +464,7 @@ class TestWorkerPool:
         monkeypatch.setattr(simulate, "_admission_policy", policy)
         with pytest.raises(SweepError, match=r"^scheme=fixed lambda_total=6: fixed bust$"):
             run_sweep(POOLED_CFG)
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == set()
 
     @pytest.mark.parametrize(
         "run_fails, analytic_fails, named",
@@ -436,7 +491,7 @@ class TestWorkerPool:
         monkeypatch.setattr(sweep, "_point_report", patched)
         with pytest.raises(SweepError, match=named):
             run_sweep(POOLED_CFG)
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == set()
 
     @pytest.mark.parametrize(
         "pool_fails, run_fails, analytic_fails, named",
@@ -477,4 +532,4 @@ class TestWorkerPool:
         with pytest.raises(SweepError, match=named):
             run_sweep(POOLED_CFG)
         assert batches[0] == 2
-        assert multiprocessing.active_children() == []
+        assert _children(os.getpid()) == set()
