@@ -32,7 +32,6 @@ from .sweep import ResultRow, SweepError, emit_csv, run_sweep
 from .traffic import (
     LoadCondition,
     RateEstimator,
-    RateVector,
     SystemParams,
     ThresholdVector,
     ZeroTotalRateError,
@@ -51,7 +50,6 @@ __all__ = [
     "ConfigError",
     "LoadCondition",
     "RateEstimator",
-    "RateVector",
     "ResultRow",
     "Scenario",
     "Scheme",

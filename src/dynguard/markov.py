@@ -12,8 +12,10 @@ A chain stays a numpy array from its rates to its report
 (:func:`_point_report`); the public functions, whose types hold tuples,
 call the same helpers. The ratio recursion accumulates from rescale to rescale
 in its growth region, a long exact sum is a numpy head and rest certified by
-fsum (:func:`_exact_sum`), and the shared pool's loss recursion runs once, in
-place, over an array of offered loads (:func:`_pool_reports`).
+fsum (:func:`_exact_sum`), the fsum of every column of a matrix is a
+compensated running sum down its rows (:func:`_exact_sums`), and the shared
+pool's loss recursion runs once, in place, over an array of offered loads
+(:func:`_pool_reports`).
 """
 
 from __future__ import annotations
@@ -98,6 +100,39 @@ def _largest_first_fsum(a: np.ndarray) -> float:
     """``math.fsum`` of ``a`` largest first: fsum then keeps few partials, where index
     order keeps many across the tiny weights rescales leave."""
     return math.fsum(sorted(a.tolist(), reverse=True))
+
+
+def _two_sum(a, b):
+    """``a + b`` rounded, and the exact error of that rounding (Knuth's TwoSum)."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _exact_sums(addends: np.ndarray) -> np.ndarray:
+    """``math.fsum`` down every column of a 2-D array, bit for bit.
+
+    The rows go in order into a running sum with ``_two_sum``, and each
+    rounding error goes the same way into a compensation term. Where every
+    one of those second additions is exact as well, the sum plus the
+    compensation is the column's exact sum, and rounding it once gives the
+    correctly rounded result that ``math.fsum`` returns. The columns where
+    one is not exact are left to ``math.fsum``.
+    """
+    total = addends[0]
+    comp = np.zeros_like(total)
+    certified = np.ones(len(total), dtype=bool)
+    for k, row in enumerate(addends[1:]):
+        total, err = _two_sum(total, row)
+        if k:
+            comp, residue = _two_sum(comp, err)
+            certified &= residue == 0.0
+        else:
+            comp = err
+    total = total + comp
+    for i in np.flatnonzero(~certified):
+        total[i] = math.fsum(addends[:, i].tolist())
+    return total
 
 
 def _check_chain(birth_rates, service_rate) -> None:

@@ -49,10 +49,10 @@ from heapq import heappop, heappush
 
 import numpy as np
 
+from .markov import _exact_sums
 from .traffic import (
     _FLOOR_SLACK,
     MIN_GAP,
-    RateVector,
     SystemParams,
     ThresholdVector,
     _check_fit,
@@ -102,7 +102,7 @@ class Scenario:
     """
 
     params: SystemParams
-    schedule: tuple[tuple[float, RateVector], ...]
+    schedule: tuple[tuple[float, tuple[float, ...]], ...]
     horizon: float
     seed: int
     scheme: Scheme = Scheme.DYNAMIC
@@ -351,39 +351,6 @@ def _arrival_windows(rngs, class_gaps, seg_ends, horizon: float):
     yield np.array([horizon]), np.array([-1])
 
 
-def _two_sum(a, b):
-    """``a + b`` rounded, and the exact error of that rounding (Knuth's TwoSum)."""
-    s = a + b
-    b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
-
-
-def _exact_sums(addends: np.ndarray) -> np.ndarray:
-    """``math.fsum`` down every column of a 2-D array, bit for bit.
-
-    The rows go in order into a running sum with ``_two_sum``, and each
-    rounding error goes the same way into a compensation term. Where every
-    one of those second additions is exact as well, the sum plus the
-    compensation is the column's exact sum, and rounding it once gives the
-    correctly rounded result that ``math.fsum`` returns. The columns where
-    one is not exact are left to ``math.fsum``.
-    """
-    total = addends[0]
-    comp = np.zeros_like(total)
-    certified = np.ones(len(total), dtype=bool)
-    for k, row in enumerate(addends[1:]):
-        total, err = _two_sum(total, row)
-        if k:
-            comp, residue = _two_sum(comp, err)
-            certified &= residue == 0.0
-        else:
-            comp = err
-    total = total + comp
-    for i in np.flatnonzero(~certified):
-        total[i] = math.fsum(addends[:, i].tolist())
-    return total
-
-
 def _admission_policy(scenario: Scenario):
     """The admission policy, as a function applied to successive arrival windows.
 
@@ -506,26 +473,12 @@ class _Tally:
         self.trace = [] if scenario.record_trace else None
         self.class_type = np.min_scalar_type(self.m_count)
 
-    def count_keys(self, times, classes):
-        """A window's measured arrivals (post-warmup, not the end marker) and
-        each one's count key, 2 * (segment * M + class).
-
-        They read only the warmup and the segment table, not what was
-        admitted, so tallies of scenarios equal in those can share them.
-        """
-        measured = times >= self.warmup
-        measured &= classes >= 0
-        seg = np.searchsorted(self.ends, times[measured], side="right")
-        return measured, (seg * self.m_count + classes[measured]) * 2
-
-    def add(self, times, classes, admitted, departures, high, keyed=None):
-        """Account for one window and return its :meth:`count_keys`.
+    def add(self, times, classes, admitted, departures, high):
+        """Account for one window.
 
         ``times``/``classes`` are the window's arrivals, ``admitted`` their
         decisions, ``departures`` the departure times processed during the
         window, in order, and ``high`` the modes from the admission policy.
-        ``keyed`` is the window's :meth:`count_keys` when another tally has
-        made it.
         """
         d = len(departures)
         joined = np.concatenate((departures, times))
@@ -559,13 +512,15 @@ class _Tally:
             self.high_time = _add_in_order(self.high_time, high_span)
             self.light_time = _add_in_order(self.light_time, span - high_span)
 
-        ends = self.ends
-        if len(ends) > 1:  # else the one segment's busy time is busy_time
+        if len(self.ends) > 1:  # else the one segment's busy time is busy_time
             self._split_at_segment_ends(t, lo, occ, busy)
 
-        if keyed is None:
-            keyed = self.count_keys(times, classes)
-        measured, keys = keyed
+        # Post-warmup arrivals, not the end marker, and each one's count key,
+        # 2 * (segment * M + class).
+        measured = times >= self.warmup
+        measured &= classes >= 0
+        seg = np.searchsorted(self.ends, times[measured], side="right")
+        keys = (seg * self.m_count + classes[measured]) * 2
         if len(keys):
             # Per segment and class: [blocked, admitted] counts.
             counts = np.bincount(keys + admitted[measured], minlength=2 * self.offered.size)
@@ -576,7 +531,6 @@ class _Tally:
         self.events += len(joined)
         if self.trace is not None:
             self.trace.append((times, (classes + 1).astype(self.class_type), admitted))
-        return keyed
 
     def _split_at_segment_ends(self, t, lo, occ, busy):
         """Add each event's occupancy-time over (lo, t] to the segments it spans.
@@ -658,9 +612,8 @@ class _Lane:
         self.deps = [math.inf]
         self.tally = _Tally(scenario)
 
-    def advance(self, times, classes, tlist, keyed):
-        """Take one arrival window through the policy, the occupancy loop and
-        the tally; ``keyed`` and the return value are as in :meth:`_Tally.add`."""
+    def advance(self, times, classes, tlist):
+        """Take one arrival window through the policy, the occupancy loop and the tally."""
         limits, high = self.policy(times, classes)
         # Admission needs fewer busy channels than the limit, so no limit
         # above the capacity means the occupancy never exceeds it.
@@ -688,9 +641,9 @@ class _Lane:
             else:
                 decisions.append(0)
         self.holds, self.used = holds, used
-        return self.tally.add(
+        self.tally.add(
             times, classes, np.frombuffer(decisions, dtype=bool),
-            np.fromiter(departures, float, len(departures)), high, keyed,
+            np.fromiter(departures, float, len(departures)), high,
         )
 
 
@@ -720,12 +673,8 @@ def _run_schemes(scenarios) -> list[SimReport]:
     lanes = [_Lane(scenario, child_seqs[m_count]) for scenario in scenarios]
     for times, classes in windows:
         tlist = times.tolist()
-        # The first tally makes the count keys after its loop, not ahead of
-        # it, so a run alone allocates in the order it always did (its peak
-        # resident memory depends on that order).
-        keyed = None
         for lane in lanes:
-            keyed = lane.advance(times, classes, tlist, keyed)
+            lane.advance(times, classes, tlist)
 
     for lane in lanes:
         # The tally's admissions minus departures must leave the loop's occupancy.

@@ -17,9 +17,6 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 
-# A per-class arrival-rate vector (calls per unit time), index 0 = class 1.
-RateVector = tuple[float, ...]
-
 # Clamp for zero inter-arrival gaps so 1/gap stays finite.
 MIN_GAP = 1e-9
 
@@ -168,8 +165,9 @@ def _check_grid(grid) -> None:
             raise ValueError(f"grid points must be positive and finite, got {g!r}")
 
 
-def as_rate_vector(rates, class_count: int | None = None) -> RateVector:
-    """Validate and normalize a per-class rate sequence to a tuple."""
+def as_rate_vector(rates, class_count: int | None = None) -> tuple[float, ...]:
+    """Validate and normalize a per-class rate sequence (calls per unit time,
+    index 0 = class 1) to a tuple of floats."""
     vec = tuple(rates)
     if not vec:
         raise ValueError("at least one traffic class is required")
@@ -181,7 +179,7 @@ def as_rate_vector(rates, class_count: int | None = None) -> RateVector:
     return tuple(map(float, vec))
 
 
-def _rate_sum(vec: RateVector) -> float:
+def _rate_sum(vec: tuple[float, ...]) -> float:
     """``math.fsum`` of validated rates, with the ValueError that names them
     where a sum beyond the float range makes fsum raise OverflowError."""
     try:
@@ -306,6 +304,6 @@ class RateEstimator:
         est = self.estimates[idx]
         return self.priors[idx] if est is None else est
 
-    def rates(self) -> RateVector:
+    def rates(self) -> tuple[float, ...]:
         """Current per-class estimates as a rate vector."""
         return tuple(p if e is None else e for p, e in zip(self.priors, self.estimates))

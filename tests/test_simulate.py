@@ -643,9 +643,14 @@ class TestSharedRuns:
         assert [repr(r) for r in _run_schemes(scenarios)] == solo
         assert [repr(r) for r in _run_schemes(scenarios[::-1])] == solo[::-1]
 
-    def test_multi_segment_schedule_with_trace(self):
+    # Each tally keys its counts by its own warmup and segment table: the
+    # default warmup, 10.0, falls on a segment start, 15.0 inside a segment.
+    @pytest.mark.parametrize("warmup", [None, 15.0, 0.0], ids=["default", "inside_segment", "zero"])
+    def test_multi_segment_schedule_with_trace(self, warmup):
         schedule = tuple((k * 10.0, (8.0, 6.0, 6.0) if k % 2 else (24.0, 18.0, 18.0)) for k in range(10))
-        scenarios = self.group(params=self.N40, schedule=schedule, horizon=100.0, seed=3, record_trace=True)
+        scenarios = self.group(
+            params=self.N40, schedule=schedule, horizon=100.0, seed=3, warmup=warmup, record_trace=True,
+        )
         reports = _run_schemes(scenarios)
         assert [repr(r) for r in reports] == [repr(run_simulation(s)) for s in scenarios]
         assert all(r.trace for r in reports)

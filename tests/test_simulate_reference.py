@@ -19,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynguard import Scenario, Scheme, SystemParams, ThresholdVector, availability_thresholds, run_simulation
-from dynguard.simulate import SegmentStats, SimReport, _admission_policy, _exact_sums, blocking_stderr
+from dynguard.markov import _exact_sums
+from dynguard.simulate import SegmentStats, SimReport, _admission_policy, blocking_stderr
 from dynguard.traffic import MIN_GAP, _class_limit, _observe_gap
 from walks import exponentials, per_draw_walk
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import os
 import signal
+import subprocess
 import sys
 import time
 from contextlib import nullcontext
@@ -533,3 +534,39 @@ class TestWorkerPool:
             run_sweep(POOLED_CFG)
         assert batches[0] == 2
         assert _children(os.getpid()) == set()
+
+
+# Modules whose import would add to the main process's setup time and memory.
+HEAVY_MODULES = ("numpy.random", "multiprocessing", "concurrent.futures", "select", "signal")
+
+
+def loaded_after_sweep(sim_enabled):
+    """Which of HEAVY_MODULES a fresh interpreter holds after ``import dynguard``
+    and a ``run_sweep`` of the regression config, simulated or not."""
+    script = (
+        "import sys\n"
+        "from dataclasses import replace\n"
+        "import dynguard\n"
+        f"config = dynguard.load_config({str(ROOT / 'configs' / 'regression.conf')!r})\n"
+        f"dynguard.run_sweep(replace(config, sim_enabled={sim_enabled}, sim_arrivals=2000))\n"
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+    )
+    src = str(Path(sweep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return set(done.stdout.split())
+
+
+class TestImportWeight:
+    """The main process of a sweep loads only what its path needs."""
+
+    def test_an_analytic_sweep_loads_none_of_the_heavy_modules(self):
+        assert loaded_after_sweep(sim_enabled=False) == set()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="with one usable CPU the runs happen in the main process",
+    )
+    def test_a_simulated_sweep_leaves_random_and_pools_to_the_workers(self):
+        loaded = loaded_after_sweep(sim_enabled=True)
+        assert not loaded & {"numpy.random", "multiprocessing", "concurrent.futures"}
