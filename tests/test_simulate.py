@@ -643,8 +643,9 @@ class TestSharedRuns:
         assert [repr(r) for r in _run_schemes(scenarios)] == solo
         assert [repr(r) for r in _run_schemes(scenarios[::-1])] == solo[::-1]
 
-    # Each tally keys its counts by its own warmup and segment table: the
-    # default warmup, 10.0, falls on a segment start, 15.0 inside a segment.
+    # Shared runs equal solo runs whatever the warmup: the default, 10.0,
+    # falls on a segment start, 15.0 inside a segment, and 0.0 counts every
+    # arrival.
     @pytest.mark.parametrize("warmup", [None, 15.0, 0.0], ids=["default", "inside_segment", "zero"])
     def test_multi_segment_schedule_with_trace(self, warmup):
         schedule = tuple((k * 10.0, (8.0, 6.0, 6.0) if k % 2 else (24.0, 18.0, 18.0)) for k in range(10))

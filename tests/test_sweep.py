@@ -542,14 +542,17 @@ HEAVY_MODULES = ("numpy.random", "multiprocessing", "concurrent.futures", "selec
 
 def loaded_after_sweep(sim_enabled):
     """Which of HEAVY_MODULES a fresh interpreter holds after ``import dynguard``
-    and a ``run_sweep`` of the regression config, simulated or not."""
+    and a ``run_sweep`` of the regression config, simulated or not, that a bare
+    ``import numpy`` had not loaded already (numpy 1.x loads numpy.random itself)."""
     script = (
         "import sys\n"
+        "import numpy\n"
+        f"before = {{m for m in {HEAVY_MODULES!r} if m in sys.modules}}\n"
         "from dataclasses import replace\n"
         "import dynguard\n"
         f"config = dynguard.load_config({str(ROOT / 'configs' / 'regression.conf')!r})\n"
         f"dynguard.run_sweep(replace(config, sim_enabled={sim_enabled}, sim_arrivals=2000))\n"
-        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+        f"print(' '.join(m for m in {HEAVY_MODULES!r} if m in sys.modules and m not in before))\n"
     )
     src = str(Path(sweep.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
