@@ -4,8 +4,10 @@ For every (scheme, grid point) pair the sweep computes the analytic
 blocking report and, when enabled, pooled simulation estimates across the
 seed list. The simulation goes out as one task per (grid point, seed),
 which runs every scheme on the same arrivals; forked workers, one per
-usable CPU, take them over pipes while each point, in sweep order, takes
-its report and then pools its runs. Rows come out in (scheme, total rate,
+usable CPU, each run a fixed stripe of the tasks while each point, in
+sweep order, takes its report and then pools its runs. The split is
+fixed, as the tasks take about equal times; it gives up rebalancing when
+another load slows one CPU. Rows come out in (scheme, total rate,
 class) order with class 0 the pooled class over all of 1..M, so repeated
 runs of the same config are byte-identical on any number of CPUs.
 """
@@ -111,16 +113,17 @@ def _worker_start(parent: int) -> None:
         os._exit(1)
 
 
-def _work(tasks: list[list[Scenario]], parent: int, inbox: int, task_fd: int, outbox: int) -> None:
-    """A forked worker: for each task index on ``inbox``, until the parent closes
-    ``task_fd``, send ``outbox`` the length-prefixed pickle of its result or error."""
+def _work(tasks: list[list[Scenario]], parent: int, fds: list[int]) -> None:
+    """A forked worker: write the length-prefixed pickle of each task's result
+    or error, in task order, to the last of ``fds``, the write end of its pipe."""
     try:
         _worker_start(parent)
-        os.close(task_fd)  # so the inbox ends when the parent's end closes, even if it never kept this pid
-        indices, out = open(inbox, "rb"), open(outbox, "wb")
-        while len(index := indices.read(4)) == 4:
+        for fd in fds[:-1]:  # read ends, its own too: so a write fails (EPIPE) once the parent closes it
+            os.close(fd)
+        out = open(fds[-1], "wb")
+        for task in tasks:
             try:
-                data = pickle.dumps(_simulate(tasks[int.from_bytes(index, "little")]))
+                data = pickle.dumps(_simulate(task))
             except Exception as exc:
                 data = pickle.dumps(exc)
             out.write(len(data).to_bytes(4, "little") + data)
@@ -134,55 +137,37 @@ def _simulated(tasks: list[list[Scenario]]):
 
     On Linux the tasks go to one forked worker per CPU in the affinity mask,
     up to one per task; with one worker, or elsewhere, they run in this
-    process. A worker inherits the tasks, takes each index over one pipe and
-    sends back the pickled result over another. A task that cannot finish,
-    as when its worker dies, raises in its turn. However it stops, the
-    generator kills and reaps its workers and closes its pipes.
+    process. Worker k of W inherits the tasks, runs ``tasks[k::W]`` and
+    sends back each pickled result over its own pipe, so task i is the next
+    result on pipe ``i % W``. A task that cannot finish, as when its worker
+    dies, raises in its turn. However it stops, the generator kills and
+    reaps its workers and closes its pipes.
     """
     workers = min(len(os.sched_getaffinity(0)), len(tasks)) if sys.platform == "linux" else 1
     if workers < 2:
         yield from map(_simulate, tasks)
         return
-    # Imported here: an analytic sweep never pays for them.
-    import select
-    import signal
+    import signal  # imported here: an analytic sweep never pays for it
 
-    parent, queued, poller = os.getpid(), iter(range(len(tasks))), select.poll()
-    pids, fds = [], []  # the workers, and every pipe end this process holds
-    idle: list = []  # (result pipe, task pipe) of each worker without a task
-    running: dict = {}  # a busy worker's result fd: its result pipe, task pipe and task
-    results: dict[int, bytes] = {}  # pickled, by task, until its turn
+    parent, pids, fds = os.getpid(), [], []  # the workers, and every pipe end this process holds
     try:
         # SIGINT and SIGTERM wait out the forks: no worker takes one before _worker_start, in _work's try.
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         try:
-            for _ in range(workers):
-                (inbox, task_fd), (result_fd, outbox) = os.pipe(), os.pipe()
-                fds += inbox, task_fd, result_fd, outbox
+            for k in range(workers):
+                fds += os.pipe()
                 if (pid := os.fork()) == 0:
-                    _work(tasks, parent, inbox, task_fd, outbox)
+                    _work(tasks[k::workers], parent, fds)
                 pids.append(pid)
-                os.close(fds.pop())  # the worker's end: the result pipe closes when the worker dies
-                idle.append((open(result_fd, "rb", closefd=False), task_fd))
+                os.close(fds.pop())  # the worker's end: its pipe closes when the worker dies
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        pipes = [open(fd, "rb", closefd=False) for fd in fds]  # by worker
         for i in range(len(tasks)):
-            while i not in results:
-                for (result_pipe, task_fd), k in zip(idle, queued):
-                    running[result_pipe.fileno()] = result_pipe, task_fd, k
-                    poller.register(result_pipe, select.POLLIN)
-                    os.write(task_fd, k.to_bytes(4, "little"))  # no EPIPE: this process holds the read end
-                idle.clear()
-                for fd, _ in poller.poll():  # unlike select(), any fd number
-                    poller.unregister(fd)
-                    result_pipe, task_fd, k = running.pop(fd)
-                    size = int.from_bytes(result_pipe.read(4), "little")
-                    if len(data := result_pipe.read(size)) == size > 0:
-                        results[k] = data
-                        idle.append((result_pipe, task_fd))
-                    else:  # the pipe closed before the whole result came
-                        results[k] = pickle.dumps(ChildProcessError("the worker simulating it died"))
-            result = pickle.loads(results.pop(i))
+            size = int.from_bytes(pipes[i % workers].read(4), "little")
+            if not size or len(data := pipes[i % workers].read(size)) < size:  # the pipe closed first
+                raise ChildProcessError("the worker simulating it died")
+            result = pickle.loads(data)
             if isinstance(result, Exception):
                 raise result
             yield result
